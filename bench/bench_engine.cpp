@@ -7,14 +7,12 @@
 // next to the working directory so the perf trajectory of the engine is
 // recorded.
 //
-// Every scenario runs as a pair by default: trace-JIT superop execution on
-// (DESIGN.md §13, the RunOptions default) and off (plain interpreter), with
-// the two RunResults required bit-identical before any number is written —
-// the same measure-then-prove pattern as `bench_kernels --smoke`. Pass
-// `--jit on` or `--jit off` to measure a single mode (no identity check
-// without the pair). Programs go through ProgramBundle, the form every app
-// in this repo hands the engine (bit-identical to the raw vector path, and
-// it amortises the derived op-key/run-table sidecars the JIT consumes).
+// Every scenario is measured once. Programs go through ProgramBundle, the
+// form every app in this repo hands the engine (bit-identical to the raw
+// vector path). The collapse rows prove their own bit-identity: each halo
+// row is measured with collapse on and off and the two RunResults must
+// match, and the 100k-rank SPMD row is diffed against a collapse-off run —
+// the bench aborts rather than write numbers from a diverging engine.
 //
 // The JSON carries two measurement sets: "baseline" (numbers recorded on the
 // pre-optimization engine when this bench was introduced, kept as literals
@@ -36,7 +34,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -187,7 +184,6 @@ am::ProgramSet hpcg_spmd_skeleton(int ranks, int iters) {
 struct Scenario {
     std::string app;
     int ranks = 0;
-    bool jit = true;          ///< RunOptions::jit for this row
     long ops = 0;
     double seconds = 0;       ///< best-of-reps CPU time of one Engine::run
     double ops_per_sec = 0;
@@ -204,10 +200,7 @@ struct Scenario {
     int split_p2p = 0;        ///< absolute p2p / wildcard / rel-arrival splits
     int split_noise = 0;      ///< rank-keyed OS-noise compute splits
     int split_placement = 0;  ///< rel-send hop-tier (node edge) splits
-    int jit_blocks = 0;       ///< superop blocks compiled (jit rows)
-    long long jit_block_runs = 0;
-    long long jit_ops = 0;
-    bool paired = false;      ///< jit-on/off pair ran and proved bit-identity
+    bool bit_identical = false;  ///< diffed against collapse-off and equal
 };
 
 /// Cumulative process high-water mark (getrusage). Only meaningful as a
@@ -263,7 +256,7 @@ void finish_rss(Scenario* s, bool reset_ok) {
 }
 
 Scenario measure(const std::string& app, int ranks,
-                 const as::ProgramBundle& progs, bool jit, as::RunResult* out) {
+                 const as::ProgramBundle& progs) {
     const int nodes = (ranks + 63) / 64;  // Fulhame: 64 cores/node
     const as::Engine engine(aa::fulhame(),
                             as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
@@ -272,12 +265,9 @@ Scenario measure(const std::string& app, int ranks,
     Scenario s;
     s.app = app;
     s.ranks = ranks;
-    s.jit = jit;
     for (int r = 0; r < progs.ranks(); ++r) {
         s.ops += static_cast<long>(progs.of(r).ops.size());
     }
-    as::RunOptions opts;
-    opts.jit = jit;
 
     const bool rss_reset = reset_vm_hwm();
     constexpr int kReps = 7;
@@ -285,7 +275,7 @@ Scenario measure(const std::string& app, int ranks,
     double makespan = 0;
     for (int rep = 0; rep < kReps; ++rep) {
         const double t0 = cpu_now();
-        const auto res = engine.run(progs, opts);
+        const auto res = engine.run(progs);
         const double t1 = cpu_now();
         best = std::min(best, t1 - t0);
         makespan = res.makespan;
@@ -294,17 +284,13 @@ Scenario measure(const std::string& app, int ranks,
         s.split_p2p = res.collapse_split_p2p;
         s.split_noise = res.collapse_split_noise;
         s.split_placement = res.collapse_split_placement;
-        s.jit_blocks = res.jit_blocks;
-        s.jit_block_runs = res.jit_block_runs;
-        s.jit_ops = res.jit_ops;
-        if (out != nullptr) *out = res;
     }
     s.seconds = best;
     s.ops_per_sec = static_cast<double>(s.ops) / best;
     finish_rss(&s, rss_reset);
-    std::printf("  %-5s %5d ranks  jit %-3s  %9ld ops  %8.4f s  %10.0f ops/s"
+    std::printf("  %-5s %5d ranks  %9ld ops  %8.4f s  %10.0f ops/s"
                 "  rss %ld MiB%s  (makespan %.3f s)\n",
-                app.c_str(), ranks, jit ? "on" : "off", s.ops, s.seconds,
+                app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", makespan);
     return s;
@@ -320,9 +306,8 @@ Scenario measure(const std::string& app, int ranks,
 /// mismatch aborts the bench, because scale numbers from a result that
 /// diverges from the uncollapsed engine would be meaningless.
 Scenario measure_scale(const std::string& app, int ranks,
-                       const as::ProgramBundle& bundle, bool jit,
-                       bool check_flat, as::RunResult* out,
-                       bool collapse = true) {
+                       const as::ProgramBundle& bundle, bool check_flat,
+                       as::RunResult* out, bool collapse = true) {
     const int nodes = (ranks + 63) / 64;  // Fulhame: 64 cores/node
     aa::ModelKnobs noiseless;
     noiseless.os_noise = 0;  // rank-keyed noise would split every class
@@ -333,7 +318,6 @@ Scenario measure_scale(const std::string& app, int ranks,
     Scenario s;
     s.app = app;
     s.ranks = ranks;
-    s.jit = jit;
     s.collapse = collapse;
     // Simulated rank-ops: sum per rank (halo skeletons give boundary ranks
     // shorter programs, so ranks x ops-of-rank-0 would miscount).
@@ -341,7 +325,6 @@ Scenario measure_scale(const std::string& app, int ranks,
         s.ops += static_cast<long>(bundle.of(r).ops.size());
     }
     as::RunOptions opts;
-    opts.jit = jit;
     opts.collapse = collapse;
 
     const bool rss_reset = reset_vm_hwm();
@@ -363,9 +346,6 @@ Scenario measure_scale(const std::string& app, int ranks,
     s.split_p2p = res.collapse_split_p2p;
     s.split_noise = res.collapse_split_noise;
     s.split_placement = res.collapse_split_placement;
-    s.jit_blocks = res.jit_blocks;
-    s.jit_block_runs = res.jit_block_runs;
-    s.jit_ops = res.jit_ops;
     if (out != nullptr) *out = res;
 
     if (check_flat) {
@@ -380,13 +360,14 @@ Scenario measure_scale(const std::string& app, int ranks,
                          ranks, diff.c_str());
             std::exit(1);
         }
+        s.bit_identical = true;
     }
 
     finish_rss(&s, rss_reset);
-    std::printf("  %-10s %8d ranks  jit %-3s  %11ld ops  %8.4f s  %12.3g ops/s"
+    std::printf("  %-10s %8d ranks  %11ld ops  %8.4f s  %12.3g ops/s"
                 "  rss %ld MiB%s  classes %d  splits %d (p2p %d, noise %d, "
                 "placement %d)%s  (makespan %.3f s)\n",
-                app.c_str(), ranks, jit ? "on" : "off", s.ops, s.seconds,
+                app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
                 s.collapse_splits, s.split_p2p, s.split_noise, s.split_placement,
@@ -399,10 +380,7 @@ Scenario measure_scale(const std::string& app, int ranks,
 /// source built Release in a scratch worktree of the parent commit, run
 /// interleaved with the current build on the same box, best CPU time of 7
 /// reps per scenario (CLOCK_THREAD_CPUTIME_ID, so co-tenant load does not
-/// skew either side). The baseline predates the trace-JIT, so jit-on and
-/// jit-off rows share the same denominator (jit-off isolates the
-/// interpreter-path gains, jit-on adds the superop gain on top). Regenerate
-/// the same way if the scenarios change.
+/// skew either side). Regenerate the same way if the scenarios change.
 struct BaselinePoint {
     const char* app;
     int ranks;
@@ -431,7 +409,7 @@ void write_json(const std::vector<Scenario>& scenarios) {
         for (const auto& b : kBaseline) {
             if (s.app == b.app && s.ranks == b.ranks) base = b.ops_per_sec;
         }
-        j += format("    {\"app\": \"%s\", \"ranks\": %d, \"jit\": %s, "
+        j += format("    {\"app\": \"%s\", \"ranks\": %d, "
                     "\"collapse\": %s, "
                     "\"ops\": %ld, \"seconds\": %.6f, \"ops_per_sec\": %.0f, "
                     "\"peak_rss_kb\": %ld, \"rss_scope\": \"%s\", "
@@ -439,21 +417,16 @@ void write_json(const std::vector<Scenario>& scenarios) {
                     "\"split_p2p\": %d, \"split_noise\": %d, "
                     "\"split_placement\": %d",
                     json_escape(s.app).c_str(), s.ranks,
-                    s.jit ? "true" : "false", s.collapse ? "true" : "false",
+                    s.collapse ? "true" : "false",
                     s.ops, s.seconds, s.ops_per_sec,
                     s.peak_rss_kb, s.rss_per_scenario ? "scenario" : "process",
                     s.collapse_classes, s.collapse_splits, s.split_p2p,
                     s.split_noise, s.split_placement);
-        if (s.jit) {
-            j += format(", \"jit_blocks\": %d, \"jit_block_runs\": %lld, "
-                        "\"jit_ops\": %lld",
-                        s.jit_blocks, s.jit_block_runs, s.jit_ops);
-        }
-        // A row only carries bit_identical when its jit-on/off pair actually
-        // ran and was diffed (a mismatch aborts before the JSON is written),
-        // and only carries a speedup when a baseline entry exists — absent
-        // fields mean "not measured", never a made-up zero.
-        if (s.paired) j += ", \"bit_identical\": true";
+        // A row only carries bit_identical when it was actually diffed
+        // against collapse-off (a mismatch aborts before the JSON is
+        // written), and only carries a speedup when a baseline entry exists
+        // — absent fields mean "not measured", never a made-up zero.
+        if (s.bit_identical) j += ", \"bit_identical\": true";
         if (base > 0) {
             j += format(", \"speedup_vs_baseline\": %.2f", s.ops_per_sec / base);
         }
@@ -465,105 +438,56 @@ void write_json(const std::vector<Scenario>& scenarios) {
     }
 }
 
-enum class JitMode { both, on, off };
-
 } // namespace
 
 int main(int argc, char** argv) {
-    JitMode mode = JitMode::both;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jit") == 0 && i + 1 < argc) {
-            const char* v = argv[++i];
-            if (std::strcmp(v, "on") == 0) {
-                mode = JitMode::on;
-            } else if (std::strcmp(v, "off") == 0) {
-                mode = JitMode::off;
-            } else if (std::strcmp(v, "both") == 0) {
-                mode = JitMode::both;
-            } else {
-                std::fprintf(stderr, "bench_engine: --jit takes on|off|both\n");
-                return 2;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_engine [--jit on|off|both]\n"
-                         "  both (default) measures each scenario twice and "
-                         "requires the two RunResults bit-identical\n");
-            return 2;
-        }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: %s (takes no options)\n", argv[0]);
+        return 2;
     }
 
     std::printf("engine throughput bench (Fulhame nodes, 64 ranks/node, "
                 "default noise)\n");
     std::vector<Scenario> scenarios;
 
-    // Measure jit-on and/or jit-off rows for one scenario; with both modes,
-    // prove bit-identity between the pair before recording either row (the
-    // bench's own differential — scale numbers from a JIT that diverges from
-    // the interpreter would be meaningless).
-    const auto run_pair = [&](const std::string& app, int ranks,
-                              const as::ProgramBundle& bundle, bool scale,
-                              bool check_flat) {
-        as::RunResult on_res, off_res;
-        const std::size_t first = scenarios.size();
-        if (mode != JitMode::off) {
-            scenarios.push_back(scale ? measure_scale(app, ranks, bundle, true,
-                                                      check_flat, &on_res)
-                                      : measure(app, ranks, bundle, true, &on_res));
-        }
-        if (mode != JitMode::on) {
-            scenarios.push_back(scale ? measure_scale(app, ranks, bundle, false,
-                                                      /*check_flat=*/false,
-                                                      &off_res)
-                                      : measure(app, ranks, bundle, false, &off_res));
-        }
-        if (mode == JitMode::both) {
-            const std::string d = as::check::diff_results(on_res, off_res);
-            if (!d.empty()) {
-                std::fprintf(stderr,
-                             "bench_engine: jit differential FAILED for %s at "
-                             "%d ranks: %s\n",
-                             app.c_str(), ranks, d.c_str());
-                std::exit(1);
-            }
-            for (std::size_t i = first; i < scenarios.size(); ++i) {
-                scenarios[i].paired = true;
-            }
-        }
-    };
-
     for (int ranks : {48, 256, 1024}) {
-        run_pair("hpcg", ranks, hpcg_skeleton(ranks, /*iters=*/20).take_bundle(),
-                 /*scale=*/false, /*check_flat=*/false);
+        scenarios.push_back(
+            measure("hpcg", ranks, hpcg_skeleton(ranks, /*iters=*/20).take_bundle()));
     }
     for (int ranks : {48, 256, 1024}) {
-        run_pair("cosa", ranks, cosa_skeleton(ranks, /*iters=*/200).take_bundle(),
-                 /*scale=*/false, /*check_flat=*/false);
+        scenarios.push_back(
+            measure("cosa", ranks, cosa_skeleton(ranks, /*iters=*/200).take_bundle()));
     }
 
     // Relative-halo collapse rows (DESIGN.md §11.4): the SAME halo skeletons
     // as the throughput rows above, but under os_noise=0 so the collapse is
     // observable — halo_exchange's relative addressing keeps the grid/chain
-    // interior merged through the p2p, ending with classes << ranks. The
-    // jit-on row also proves bit-identity against collapse-off (check_flat),
-    // the pair proves jit-on vs jit-off, and an explicit collapse-off row
-    // records what the engine pays without the merge.
+    // interior merged through the p2p, ending with classes << ranks. Each
+    // skeleton is measured with collapse on and off, and the two RunResults
+    // must be bit-identical (the off row records what the engine pays
+    // without the merge).
     std::printf("halo collapse rows (relative-addressed halos, os_noise=0, "
                 "DESIGN.md §11.4)\n");
-    {
-        const auto hpcg_halo = hpcg_skeleton(1024, /*iters=*/20).take_bundle();
-        run_pair("hpcg-halo", 1024, hpcg_halo, /*scale=*/true,
-                 /*check_flat=*/true);
-        scenarios.push_back(measure_scale("hpcg-halo", 1024, hpcg_halo,
-                                          /*jit=*/true, /*check_flat=*/false,
-                                          nullptr, /*collapse=*/false));
-        const auto cosa_halo = cosa_skeleton(1024, /*iters=*/200).take_bundle();
-        run_pair("cosa-halo", 1024, cosa_halo, /*scale=*/true,
-                 /*check_flat=*/true);
-        scenarios.push_back(measure_scale("cosa-halo", 1024, cosa_halo,
-                                          /*jit=*/true, /*check_flat=*/false,
-                                          nullptr, /*collapse=*/false));
-    }
+    const auto halo_rows = [&](const std::string& app,
+                               const as::ProgramBundle& bundle) {
+        as::RunResult merged, flat;
+        Scenario on = measure_scale(app, 1024, bundle, /*check_flat=*/false, &merged);
+        Scenario off = measure_scale(app, 1024, bundle, /*check_flat=*/false, &flat,
+                                     /*collapse=*/false);
+        const std::string diff = as::check::diff_results(merged, flat);
+        if (!diff.empty()) {
+            std::fprintf(stderr,
+                         "bench_engine: collapse differential FAILED for %s: "
+                         "%s\n",
+                         app.c_str(), diff.c_str());
+            std::exit(1);
+        }
+        on.bit_identical = off.bit_identical = true;
+        scenarios.push_back(on);
+        scenarios.push_back(off);
+    };
+    halo_rows("hpcg-halo", hpcg_skeleton(1024, /*iters=*/20).take_bundle());
+    halo_rows("cosa-halo", cosa_skeleton(1024, /*iters=*/200).take_bundle());
 
     std::printf("collapse scaling (SPMD hpcg skeleton, os_noise=0, "
                 "DESIGN.md §11)\n");
@@ -578,8 +502,9 @@ int main(int argc, char** argv) {
         // Differential vs the uncollapsed engine at 100k ranks only: the
         // flat run simulates one state machine per rank and exists to prove
         // bit-identity, not to wait on at a million ranks.
-        run_pair("hpcg-spmd", ranks, ps.take_bundle(), /*scale=*/true,
-                 /*check_flat=*/ranks == 100000);
+        scenarios.push_back(measure_scale("hpcg-spmd", ranks, ps.take_bundle(),
+                                          /*check_flat=*/ranks == 100000,
+                                          nullptr));
     }
     // Footprint gate: a million collapsed ranks must stay O(classes) state
     // plus O(ranks) final stats arrays. 512 MiB is ~4x the measured peak —

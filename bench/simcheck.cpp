@@ -8,12 +8,9 @@
 // BENCH_simcheck.json; exits nonzero on any failure, so it can serve as a
 // standalone CI gate next to the ctest `check` label. `--collapse-smoke N`
 // additionally gates rank-equivalence collapse (DESIGN.md §11) at N ranks —
-// far beyond the fuzz suite's case sizes — `--halo-collapse-smoke N` gates
-// the relative-addressed halo path (§11.4: a 3D Cartesian skeleton must end
-// with classes << ranks AND stay bit-identical to collapse-off), and
-// `--jit-smoke N` does the same for trace-JIT superop execution (§13):
-// JIT-on vs JIT-off bit-identity plus an engagement assertion (blocks
-// compiled, re-used, and executing ops).
+// far beyond the fuzz suite's case sizes — and `--halo-collapse-smoke N`
+// gates the relative-addressed halo path (§11.4: a 3D Cartesian skeleton
+// must end with classes << ranks AND stay bit-identical to collapse-off).
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -170,74 +167,9 @@ bool halo_collapse_smoke(int ranks) {
     return ok;
 }
 
-/// Trace-JIT smoke (DESIGN.md §13): run a halo-exchange + collective
-/// skeleton at `ranks` ranks — far beyond the fuzz suite's 4..32-rank cases
-/// — and require superop execution bit-identical to the interpreter on both
-/// program paths: the bundled form (run tables cached on the Program) and
-/// the raw per-rank vector (the engine derives its own tables). Also asserts
-/// the JIT actually engaged — blocks were compiled, executed most of the ops
-/// and were re-used across iterations — so the gate cannot silently pass by
-/// falling back to the interpreter. Returns true on bit-identity + engagement.
-bool jit_smoke(int ranks) {
-    aa::ComputePhase spmv;
-    spmv.label = "jit-smoke-spmv";
-    spmv.flops = 2.0 * 27.0 * 4096.0;
-    spmv.main_bytes = 12.0 * 27.0 * 4096.0;
-    spmv.pattern = aa::MemPattern::gather;
-    spmv.efficiency = 0.8;
-    aa::ComputePhase axpy = spmv;
-    axpy.label = "jit-smoke-axpy";
-    axpy.pattern = aa::MemPattern::stream;
-
-    const auto dims = am::dims_create(ranks, 3);
-    const auto neighbors = am::cart_neighbors(dims, /*periodic=*/false);
-    am::ProgramSet ps(ranks);
-    for (int it = 0; it < 12; ++it) {
-        ps.halo_exchange(neighbors, 8.0 * 16.0 * 16.0);
-        ps.compute(spmv);
-        ps.compute(axpy);
-        ps.allreduce(8);
-    }
-    const std::vector<as::Program> progs = ps.take();
-    const as::ProgramBundle bundle = as::ProgramBundle::from(progs);
-
-    const int nodes = (ranks + 63) / 64;
-    const as::Engine eng(aa::fulhame(),
-                         as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
-                         0.8);
-    const as::RunResult jit_on = eng.run(bundle);
-    as::RunOptions off;
-    off.jit = false;
-    const std::string d1 = ck::diff_results(jit_on, eng.run(bundle, off));
-    const std::string d2 = ck::diff_results(jit_on, eng.run(progs));
-    if (!d1.empty()) {
-        std::fprintf(stderr, "jit smoke (%d ranks): jit on vs off: %s\n", ranks,
-                     d1.c_str());
-    }
-    if (!d2.empty()) {
-        std::fprintf(stderr, "jit smoke (%d ranks): bundle vs raw vector: %s\n",
-                     ranks, d2.c_str());
-    }
-    const bool engaged = jit_on.jit_ops > 0 &&
-                         jit_on.jit_block_runs > jit_on.jit_blocks;
-    if (!engaged) {
-        std::fprintf(stderr,
-                     "jit smoke (%d ranks): JIT did not engage (%d blocks, "
-                     "%lld block runs, %lld ops)\n",
-                     ranks, jit_on.jit_blocks, jit_on.jit_block_runs,
-                     jit_on.jit_ops);
-    }
-    const bool ok = d1.empty() && d2.empty() && engaged;
-    std::printf("jit smoke: %d ranks, %d blocks, %lld block runs, %lld jit ops"
-                " — %s\n",
-                ranks, jit_on.jit_blocks, jit_on.jit_block_runs, jit_on.jit_ops,
-                ok ? "bit-identical" : "MISMATCH");
-    return ok;
-}
-
 void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
                 double seconds, int smoke_ranks, bool smoke_ok,
-                int halo_ranks, bool halo_ok, int jit_ranks, bool jit_ok) {
+                int halo_ranks, bool halo_ok) {
     std::string j = "{\n  \"bench\": \"simcheck\",\n  \"unit\": \"seeds/sec\",\n";
     j += format("  \"seeds\": %d,\n  \"first_seed\": %llu,\n", cfg.seeds,
                 static_cast<unsigned long long>(cfg.first_seed));
@@ -250,8 +182,6 @@ void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
     j += format("  \"halo_collapse_smoke_ranks\": %d,\n"
                 "  \"halo_collapse_smoke_ok\": %s,\n",
                 halo_ranks, halo_ok ? "true" : "false");
-    j += format("  \"jit_smoke_ranks\": %d,\n  \"jit_smoke_ok\": %s,\n",
-                jit_ranks, jit_ok ? "true" : "false");
     j += format("  \"seconds\": %.3f,\n  \"seeds_per_sec\": %.2f\n}\n", seconds,
                 seconds > 0 ? cfg.seeds / seconds : 0.0);
     if (!armstice::util::write_file_atomic("BENCH_simcheck.json", j)) {
@@ -280,14 +210,9 @@ int main(int argc, char** argv) {
                "also smoke-test relative-halo collapse (3D Cartesian skeleton)"
                " at this many ranks (0 = skip)",
                "0");
-    cli.option("jit-smoke",
-               "also differential-test trace-JIT superop execution at this"
-               " many ranks (0 = skip)",
-               "0");
     ck::CheckConfig cfg;
     int smoke_ranks = 0;
     int halo_ranks = 0;
-    int jit_ranks = 0;
     try {
         cli.parse(argc, argv);
         cfg.seeds = static_cast<int>(cli.get_long("seeds"));
@@ -298,7 +223,6 @@ int main(int argc, char** argv) {
         cfg.jobs = static_cast<int>(cli.get_long("jobs"));
         smoke_ranks = static_cast<int>(cli.get_long("collapse-smoke"));
         halo_ranks = static_cast<int>(cli.get_long("halo-collapse-smoke"));
-        jit_ranks = static_cast<int>(cli.get_long("jit-smoke"));
     } catch (const armstice::util::Error& e) {
         std::fprintf(stderr, "simcheck: %s\n%s", e.what(), cli.usage().c_str());
         return 2;
@@ -316,8 +240,6 @@ int main(int argc, char** argv) {
                 dt > 0 ? cfg.seeds / dt : 0.0);
     const bool smoke_ok = smoke_ranks <= 0 || collapse_smoke(smoke_ranks);
     const bool halo_ok = halo_ranks <= 0 || halo_collapse_smoke(halo_ranks);
-    const bool jit_ok = jit_ranks <= 0 || jit_smoke(jit_ranks);
-    write_json(cfg, rep, dt, smoke_ranks, smoke_ok, halo_ranks, halo_ok,
-               jit_ranks, jit_ok);
-    return rep.ok() && smoke_ok && halo_ok && jit_ok ? 0 : 1;
+    write_json(cfg, rep, dt, smoke_ranks, smoke_ok, halo_ranks, halo_ok);
+    return rep.ok() && smoke_ok && halo_ok ? 0 : 1;
 }

@@ -29,6 +29,12 @@ std::unordered_map<std::string, std::shared_ptr<const std::any>>& cache() {
 SweepStats g_stats;
 int g_default_jobs = 0;  // 0 = unset -> consult ARMSTICE_JOBS, else serial
 
+// True while this thread is inside a point evaluation. A batch started from
+// there (compute_scorecard's entries run artefact batches) is nested: its
+// time is already inside the outer evaluation, so it must not add to the
+// wall-time counters a second time.
+thread_local bool t_in_eval = false;
+
 int env_jobs() {
     const char* env = std::getenv("ARMSTICE_JOBS");
     if (env == nullptr || *env == '\0') return 0;
@@ -107,6 +113,7 @@ void run_points(const std::vector<std::string>& keys,
                 const RunHooks* hooks) {
     const std::size_t n = keys.size();
     results.resize(n);
+    const bool nested = t_in_eval;
 
     // Partition under the lock: cached points resolve immediately; the first
     // occurrence of each uncached key becomes a task, later occurrences
@@ -216,12 +223,15 @@ void run_points(const std::vector<std::string>& keys,
         }
         const std::size_t i = pending[j];
         const auto t0 = std::chrono::steady_clock::now();
+        const bool outer = t_in_eval;
+        t_in_eval = true;
         try {
             fresh[i] = std::make_shared<const std::any>(eval(i));
             deliver(i, *fresh[i]);
         } catch (...) {
             errors[j] = std::current_exception();
         }
+        t_in_eval = outer;
         const double dt =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
@@ -260,8 +270,10 @@ void run_points(const std::vector<std::string>& keys,
             .count();
     {
         std::lock_guard<std::mutex> lock(g_mu);
-        g_stats.eval_wall_s += eval_s;
-        g_stats.batch_wall_s += batch_s;
+        if (!nested) {
+            g_stats.eval_wall_s += eval_s;
+            g_stats.batch_wall_s += batch_s;
+        }
         // Promote both evaluated and disk-loaded results into the memo cache.
         for (std::size_t i : reps) {
             if (fresh[i]) cache()[keys[i]] = fresh[i];

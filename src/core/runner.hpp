@@ -88,8 +88,11 @@ struct SweepStats {
     long disk_misses = 0;   ///< disk probes that found nothing usable
     long disk_stores = 0;   ///< fresh results flushed to the persistent cache
     long misses = 0;        ///< points actually evaluated
-    double eval_wall_s = 0; ///< per-point evaluation wall time, summed
-    double batch_wall_s = 0;///< elapsed wall time of the run() batches
+    /// Per-point evaluation wall time, summed, and elapsed wall time of the
+    /// run() batches. Both count outermost batches only: a batch started
+    /// from inside another batch's evaluation is already timed there.
+    double eval_wall_s = 0;
+    double batch_wall_s = 0;
     int jobs = 1;           ///< pool size of the most recent run
 
     [[nodiscard]] double hit_rate() const {

@@ -8,7 +8,10 @@
 #include "util/error.hpp"
 #include "util/str.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -18,7 +21,8 @@ namespace {
 
 // ---- config-string parsing -------------------------------------------------
 // "key=value;key=value" with strict validation: unknown keys, duplicate
-// keys, empty fields and unparseable numbers all throw. The per-app
+// keys, empty fields, unparseable numbers and numbers the target field
+// cannot hold all throw. The per-app
 // canonical form writes every field in a fixed order with fixed formats, so
 // canonical strings are unique per simulation.
 
@@ -47,39 +51,50 @@ std::map<std::string, std::string> parse_kv(const std::string& config) {
     return kv;
 }
 
-long take_long(std::map<std::string, std::string>& kv, const std::string& key,
-               long fallback, long min_value) {
+/// Parse `key` as a base-10 integer into the field's type T. Values outside
+/// [min_value, max of T] — including anything strtoll itself cannot hold —
+/// are rejected, never wrapped or saturated into a different config.
+template <class T>
+T take_int(std::map<std::string, std::string>& kv, const std::string& key,
+           T fallback, T min_value) {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
     const std::string& s = it->second;
     char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
+    errno = 0;
+    const long long v = std::strtoll(s.c_str(), &end, 10);
     if (end == s.c_str() || *end != '\0') {
         throw util::Error("serve: config key '" + key + "' has non-integer value '" +
                           s + "'");
     }
     kv.erase(it);
-    if (v < min_value) {
-        throw util::Error(util::format("serve: config key '%s' must be >= %ld",
-                                       key.c_str(), min_value));
+    constexpr long long kMax = std::numeric_limits<T>::max();
+    if (errno == ERANGE || v < min_value || v > kMax) {
+        throw util::Error(util::format("serve: config key '%s' must be in [%lld, %lld]",
+                                       key.c_str(),
+                                       static_cast<long long>(min_value), kMax));
     }
-    return v;
+    return static_cast<T>(v);
 }
 
+/// Parse `key` as a finite double >= 0 (inf, nan and out-of-range
+/// literals are rejected).
 double take_double(std::map<std::string, std::string>& kv, const std::string& key,
                    double fallback) {
     const auto it = kv.find(key);
     if (it == kv.end()) return fallback;
     const std::string& s = it->second;
     char* end = nullptr;
+    errno = 0;
     const double v = std::strtod(s.c_str(), &end);
     if (end == s.c_str() || *end != '\0') {
         throw util::Error("serve: config key '" + key + "' has non-numeric value '" +
                           s + "'");
     }
     kv.erase(it);
-    if (!(v >= 0)) {
-        throw util::Error("serve: config key '" + key + "' must be >= 0");
+    if (errno == ERANGE || !std::isfinite(v) || v < 0) {
+        throw util::Error("serve: config key '" + key +
+                          "' must be a finite number >= 0");
     }
     return v;
 }
@@ -104,9 +119,9 @@ void reject_leftovers(const std::map<std::string, std::string>& kv,
 apps::MinikabConfig parse_minikab(const PointSpec& spec) {
     auto kv = parse_kv(spec.config);
     apps::MinikabConfig cfg;
-    cfg.rows = take_long(kv, "rows", cfg.rows, 1);
+    cfg.rows = take_int(kv, "rows", cfg.rows, 1L);
     cfg.nnz = take_double(kv, "nnz", cfg.nnz);
-    cfg.iterations = static_cast<int>(take_long(kv, "iters", cfg.iterations, 1));
+    cfg.iterations = take_int(kv, "iters", cfg.iterations, 1);
     if (const auto it = kv.find("solver"); it != kv.end()) {
         if (it->second == "cg") {
             cfg.solver = apps::MinikabSolver::cg;
@@ -134,11 +149,10 @@ std::string canonical_minikab(const apps::MinikabConfig& cfg) {
 apps::NekboneConfig parse_nekbone(const PointSpec& spec) {
     auto kv = parse_kv(spec.config);
     apps::NekboneConfig cfg;
-    cfg.elems_per_rank =
-        static_cast<int>(take_long(kv, "elems", cfg.elems_per_rank, 1));
-    cfg.nx1 = static_cast<int>(take_long(kv, "nx1", cfg.nx1, 2));
-    cfg.cg_iters = static_cast<int>(take_long(kv, "iters", cfg.cg_iters, 1));
-    cfg.fastmath = take_long(kv, "fastmath", cfg.fastmath ? 1 : 0, 0) != 0;
+    cfg.elems_per_rank = take_int(kv, "elems", cfg.elems_per_rank, 1);
+    cfg.nx1 = take_int(kv, "nx1", cfg.nx1, 2);
+    cfg.cg_iters = take_int(kv, "iters", cfg.cg_iters, 1);
+    cfg.fastmath = take_int(kv, "fastmath", cfg.fastmath ? 1 : 0, 0) != 0;
     reject_leftovers(kv, spec.app);
     cfg.nodes = spec.nodes;
     cfg.ranks = spec.ranks;
@@ -153,10 +167,10 @@ std::string canonical_nekbone(const apps::NekboneConfig& cfg) {
 apps::CosaConfig parse_cosa(const PointSpec& spec) {
     auto kv = parse_kv(spec.config);
     apps::CosaConfig cfg;
-    cfg.blocks = static_cast<int>(take_long(kv, "blocks", cfg.blocks, 1));
-    cfg.total_cells = take_long(kv, "cells", cfg.total_cells, 1);
-    cfg.harmonics = static_cast<int>(take_long(kv, "harmonics", cfg.harmonics, 0));
-    cfg.iterations = static_cast<int>(take_long(kv, "iters", cfg.iterations, 1));
+    cfg.blocks = take_int(kv, "blocks", cfg.blocks, 1);
+    cfg.total_cells = take_int(kv, "cells", cfg.total_cells, 1L);
+    cfg.harmonics = take_int(kv, "harmonics", cfg.harmonics, 0);
+    cfg.iterations = take_int(kv, "iters", cfg.iterations, 1);
     reject_leftovers(kv, spec.app);
     cfg.nodes = spec.nodes;
     cfg.ranks_per_node = spec.ranks;  // spec.ranks carries ranks-per-node

@@ -401,31 +401,6 @@ std::vector<std::string> check_case(const arch::SystemSpec& sys,
                 fails.push_back("ref vs bundle: " + d);
             }
         }
-        // Trace-JIT differential (DESIGN.md §13): the canonical runs above
-        // execute JIT-on (the RunOptions default), so the adversary here is
-        // the plain interpreter — on the raw per-rank vector (the engine
-        // derives its run tables) and on the collapsed bundle (cached run
-        // tables, shared rank-neutral blocks). Perturbed runs force the JIT
-        // off already, so every perturbation above doubles as a third
-        // JIT-off witness.
-        if (const auto r = run_one("jit-off", [&] {
-                RunOptions opts;
-                opts.jit = false;
-                return eng.run(gc.programs, opts);
-            })) {
-            if (const std::string d = diff_results(*base, *r); !d.empty()) {
-                fails.push_back("engine vs jit off: " + d);
-            }
-        }
-        if (const auto r = run_one("bundle-jit-off", [&] {
-                RunOptions opts;
-                opts.jit = false;
-                return eng.run(bundle, opts);
-            })) {
-            if (const std::string d = diff_results(*base, *r); !d.empty()) {
-                fails.push_back("engine vs bundle (collapsed, jit off): " + d);
-            }
-        }
         for (int k = 1; k <= perturbations; ++k) {
             const auto r = run_one(util::format("perturb %d", k).c_str(), [&] {
                 return eng.run(gc.programs, perturb_opts(k));
@@ -476,17 +451,6 @@ std::vector<std::string> check_case(const arch::SystemSpec& sys,
         if (g->render() != base->render()) {
             fails.push_back("bundle diagnosis differs from engine:\n--- engine\n" +
                             base->render() + "\n--- bundle\n" + g->render());
-        }
-    }
-    if (const auto g = expect_deadlock("jit-off", [&] {
-            RunOptions opts;
-            opts.jit = false;
-            return eng.run(gc.programs, opts);
-        })) {
-        if (g->render() != base->render()) {
-            fails.push_back(
-                "jit-off diagnosis differs from engine:\n--- engine\n" +
-                base->render() + "\n--- jit off\n" + g->render());
         }
     }
     if (const auto g =

@@ -4,9 +4,7 @@
 //
 //   1. Differential checking: generate random-but-reproducible program sets
 //      and require sim::Engine and sim::RefEngine to produce bit-identical
-//      RunResults — across the bundle/collapse pipeline (DESIGN.md §11) and
-//      the trace-JIT superop executor vs the plain interpreter (§13, every
-//      seed runs JIT-on and JIT-off).
+//      RunResults — across the bundle/collapse pipeline (DESIGN.md §11).
 //   2. Schedule-perturbation determinism: re-run each case under K nonzero
 //      RunOptions::perturb_seed values and require the RunResult to stay
 //      bit-identical while the pop order is scrambled.

@@ -1,7 +1,6 @@
 #include "sim/engine.hpp"
 
 #include "sim/deadlock.hpp"
-#include "sim/jit.hpp"
 #include "util/error.hpp"
 #include "util/fpadd.hpp"
 #include "util/rng.hpp"
@@ -35,11 +34,7 @@ struct Message {
 /// a chain of dependent out-of-cache loads.
 ///
 /// All queues of a run live in ONE flat arena (run_impl's `qarena`), and a
-/// mailbox is just a tiny src->slot index. A compiled send/recv step carries
-/// its queue's arena slot, so delivery is a single computed address — no
-/// dependent loads to chase before the line can even be fetched, which also
-/// makes the next few steps' queues prefetchable while the current step
-/// executes.
+/// mailbox is just a tiny src->slot index.
 struct SrcQueue {
     static constexpr std::uint32_t kInline = 3;
     int src = 0;
@@ -147,26 +142,6 @@ struct SimClass {
     RankStats stats;
     double flops = 0;
     std::vector<double> phase;  ///< compute seconds per interned PhaseId
-    // Trace-JIT state (DESIGN.md §13). `jit_link` is the superop block this
-    // class most recently completed — the anchor for lazy block linking.
-    // `jit_blk`/`jit_step` record a suspension point: a block whose recv
-    // step found no message parks here and resumes mid-block on wake.
-    // Splits copy these (a split never fires inside a block, so jit_blk is
-    // null then); the inherited link is just a hint the singleton re-guards.
-    const jit::Block* jit_link = nullptr;
-    const jit::Block* jit_blk = nullptr;
-    std::uint32_t jit_step = 0;
-    // Run-table fast path: `rt` is the program's partition into straight-line
-    // runs (shared, read-only), `run_idx` the class's monotone cursor into it
-    // (programs are fully unrolled, so pc only moves forward), and
-    // `run_blocks[id]` the verified Block for run content id `id` — filled
-    // the first time each id resolves through the guarded/verified slow path,
-    // then a plain load. Splits copy all three: a size>1 class only ever
-    // memoizes rank-neutral blocks (the class-split guard interprets p2p and
-    // noise-stretched runs), so inherited entries are valid for any rep.
-    const jit::RunTable* rt = nullptr;
-    std::uint32_t run_idx = 0;
-    std::vector<const jit::Block*> run_blocks;
 };
 
 enum class CollKind { none, allreduce, barrier, alltoall };
@@ -324,10 +299,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     std::uint64_t memo_last_key = 0;
     CostEntry* memo_last = nullptr;
     // Memoized pricing of one compute op under ExecContext class `cc`
-    // (before per-rank noise). Shared by the interpreter's ComputeOp branch
-    // and the JIT compiler, so a block's precomputed cost is the *same
-    // double* the interpreter would produce — same memo slot, same fallback
-    // on a cost_signature collision.
+    // (before per-rank noise).
     const auto price_compute = [&](const ComputeOp& c,
                                    const arch::ComputePhase& phase,
                                    std::uint32_t cc) -> double {
@@ -426,9 +398,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     std::vector<int> rank_node;
     std::vector<Mailbox> mailbox;
     /// Every SrcQueue of the run, in creation order (mailbox entries hold
-    /// slots into this). Indices stay valid across growth; the backing array
-    /// only moves between block runs (queues are created by the interpreter
-    /// or at block compile time, never inside a block execution).
+    /// slots into this). Indices stay valid across growth.
     std::vector<SrcQueue> qarena;
     bool p2p_live = false;
     const auto ensure_p2p = [&] {
@@ -608,10 +578,10 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // ranks and stays L1-resident, while cls[cls_of[dst]] is two dependent
     // loads into hundreds of KB of class state. Maintained at every
     // transition of (blocked == recv && want_src != kAnySource): set on
-    // explicit-recv block (interpreter and in-block suspend), cleared on
-    // every match. The bit is keyed by the *receiving rank*: a singleton's
-    // class rep, or — for a merged class blocked on a relative receive —
-    // every member (so any member's delivery wakes the class).
+    // explicit-recv block, cleared on every match. The bit is keyed by the
+    // *receiving rank*: a singleton's class rep, or — for a merged class
+    // blocked on a relative receive — every member (so any member's delivery
+    // wakes the class).
     std::vector<std::uint64_t> recv_waiting(
         (static_cast<std::size_t>(n) + 63) / 64, 0);
     const auto set_recv_wait = [&](int rank) {
@@ -775,11 +745,11 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // one shared value, while delivery stays *physical*: one message into
     // each (m, m + delta) FIFO, exactly what the uncollapsed schedule would
     // enqueue (so absolute receives, wildcard receives and deadlock
-    // forensics against merged senders need no special handling). Returns
-    // false when the tier differs across members (node-edge members of a
-    // block placement): the class group-split by tier with pc unmoved and
-    // the caller re-dispatches the now-uniform subgroups.
-    const auto rel_send_exec = [&](std::uint32_t ci, const SendOp& snd) -> bool {
+    // forensics against merged senders need no special handling). When the
+    // tier differs across members (node-edge members of a block placement)
+    // the class group-splits by tier with pc unmoved instead, and the caller
+    // re-dispatches the now-uniform subgroups.
+    const auto rel_send_exec = [&](std::uint32_t ci, const SendOp& snd) {
         ensure_p2p();
         {
             const SimClass& s = cls[ci];
@@ -813,7 +783,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 }
                 if (!uniform) {
                     split_groups(ci, SplitWhy::placement);
-                    return false;
+                    return;
                 }
                 s.rel_tiers.emplace_back(snd.dst, t0);
                 tier = t0;
@@ -835,7 +805,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             }
         });
         ++s.pc;
-        return true;
     };
 
     // Execute one relative RecvOp for class ci (any size). Each member m
@@ -848,9 +817,9 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // must not shatter the class — genuinely asymmetric cases are
     // group-split at quiescence. All-matched with disagreeing completions
     // splits immediately (more deliveries cannot change a fixed match).
-    // Returns 1 matched (pc advanced), 0 group-split (pc unmoved, caller
-    // re-dispatches), 2 blocked.
-    const auto rel_recv_exec = [&](std::uint32_t ci, const RecvOp& rcv) -> int {
+    // Returns true when the class blocked; false when it matched (pc
+    // advanced) or group-split (pc unmoved, caller re-dispatches).
+    const auto rel_recv_exec = [&](std::uint32_t ci, const RecvOp& rcv) -> bool {
         {
             const SimClass& s = cls[ci];
             each_member(s, [&](int m) {
@@ -867,13 +836,13 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         if (!all) {
             s.blocked = BlockKind::recv;
             each_member(s, [&](int m) { set_recv_wait(m); });
-            return 2;
+            return true;
         }
         bool uniform = true;
         for (const std::uint64_t l : glabels) uniform = uniform && l == glabels[0];
         if (!uniform) {
             split_groups(ci, SplitWhy::p2p);
-            return 0;
+            return false;
         }
         for (const RelHit& h : rel_hits) qarena[h.slot].consume(h.idx);
         double done;
@@ -890,7 +859,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         s.blocked = BlockKind::none;
         each_member(s, [&](int m) { clr_recv_wait(m); });
         ++s.pc;
-        return 1;
+        return false;
     };
     // -----------------------------------------------------------------------
 
@@ -902,379 +871,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // bit-identical (DESIGN.md §10.2).
     util::Rng perturb_rng(opts.perturb_seed);
     const bool perturb = opts.perturb_seed != 0;
-
-    // --- Trace-JIT superop execution (DESIGN.md §13) -----------------------
-    // Straight-line runs (compute/send/explicit-recv/mark, ending at a
-    // wildcard recv, collective, or program end) compile once into
-    // jit::Blocks with per-step costs precomputed through the SAME memo the
-    // interpreter uses, then execute as tight loops that replicate the
-    // interpreter's FP op sequence exactly — dispatch, memo probes, phase
-    // compares, hop lookups and validation are hoisted to compile time, the
-    // arithmetic is not, so results stay bit-identical. Blocks are
-    // content-keyed (programs are fully unrolled: iteration 19's body sits
-    // at a different pc but hashes to iteration 0's block) and lazily
-    // linked: each class remembers its last block, each block its usual
-    // successor, so steady-state iterations skip even the hash probe.
-    // Perturbed runs interpret (the determinism adversary must exercise raw
-    // per-op scheduling) and traced runs interpret (per-span recording).
-    // The cache lives in this run_impl frame: concurrent const run() calls
-    // share nothing mutable, and nothing survives to need cross-run
-    // invalidation.
-    const bool jit_enabled = opts.jit && opts.perturb_seed == 0 && trace == nullptr;
-    jit::BlockCache jcache;
-    const std::uint64_t knobs_fp =
-        jit_enabled ? jit::knobs_fingerprint(cost_.knobs()) : 0;
-
-    // OpKey sidecar for programs that never went through a ProgramBundle
-    // (raw vector<Program> runs): derived lazily once per distinct program
-    // per run. Bundle runs take the prog.op_keys fast path.
-    std::unordered_map<const Program*, std::vector<OpKey>> derived_keys;
-    const auto keys_of = [&](const Program& prog) -> const OpKey* {
-        if (!prog.op_keys.empty()) return prog.op_keys.data();
-        auto& v = derived_keys[&prog];
-        if (v.empty()) v = compute_op_keys(prog);
-        return v.data();
-    };
-
-    // Per-program run tables. Bundle-finalised programs carry one already
-    // (Program::op_runs — built once, amortised across every run); raw
-    // programs derive one per run here, like derived_keys. unordered_map
-    // node stability keeps the SimClass::rt pointers valid as the map grows.
-    std::unordered_map<const Program*, jit::RunTable> derived_runs;
-    if (jit_enabled) {
-        for (auto& c : cls) {
-            if (c.prog->op_runs.source_ops == c.prog->ops.size()) {
-                c.rt = &c.prog->op_runs;
-                continue;
-            }
-            auto [it, fresh] = derived_runs.try_emplace(c.prog);
-            if (fresh) {
-                it->second =
-                    compute_op_runs(keys_of(*c.prog), c.prog->ops.size());
-            }
-            c.rt = &it->second;
-        }
-    }
-
-    // Step::qidx is a qarena slot (slot_for): slots are never removed or
-    // reassigned within a run, so a compiled index stays valid, and creating
-    // an empty queue at compile time is observationally inert (it contributes
-    // no candidates to matching, only scan order).
-
-    const auto compile_block = [&](const Program& prog, std::size_t pc,
-                                   const jit::RunScan& scan, std::uint32_t cc,
-                                   int rep, bool resolve_rel) -> const jit::Block* {
-        jit::Guards g;
-        g.model_version = arch::kModelVersion;
-        g.knobs_fp = knobs_fp;
-        g.ctx = cc;
-        // Only steps with *resolved* addresses pin a block to its compiling
-        // rank (qidx and transfer price are rank-resolved at compile time):
-        // absolute p2p always, and relative p2p when compiling for a
-        // singleton (resolve_rel — the fast path that folds rel ops down to
-        // the precomputed absolute form). A merged class keeps rel steps
-        // symbolic, so its block stays rank-neutral and is shared across
-        // every member — and across classes. Pinned rel blocks can never be
-        // claimed by a merged class: a rank lives in exactly one class and
-        // classes only ever split, so once the singleton exists no merged
-        // class can have the same representative.
-        g.rank = (scan.has_abs_p2p || (resolve_rel && scan.has_p2p)) ? rep : -1;
-        if (scan.has_p2p) ensure_p2p();  // queue indices resolve into mailboxes
-        jit::CompileEnv env;
-        env.price = [&, cc](const ComputeOp& c, const arch::ComputePhase& ph) {
-            return price_compute(c, ph, cc);
-        };
-        env.p2p_seconds = [&, rep](int dst, double bytes) {
-            ARMSTICE_CHECK(dst >= 0 && dst < n, "send dst out of range");
-            ARMSTICE_CHECK(bytes >= 0, "negative message size");
-            const int src_node = rank_node[static_cast<std::size_t>(rep)];
-            const int dst_node = rank_node[static_cast<std::size_t>(dst)];
-            if (src_node == dst_node) {
-                return np.shm_latency_s + bytes / np.shm_bandwidth +
-                       np.msg_overhead_s;
-            }
-            return hop_base[static_cast<std::size_t>(
-                       topo.hops(src_node, dst_node))] +
-                   bytes / np.bandwidth + np.msg_overhead_s;
-        };
-        env.send_qidx = [&, rep](int dst) {
-            return static_cast<int>(
-                slot_for(mailbox[static_cast<std::size_t>(dst)], rep));
-        };
-        env.recv_qidx = [&, rep](int src) {
-            ARMSTICE_CHECK(src >= 0 && src < n, "recv src out of range");
-            return static_cast<int>(
-                slot_for(mailbox[static_cast<std::size_t>(rep)], src));
-        };
-        env.msg_overhead_s = np.msg_overhead_s;
-        env.injection_bw = np.injection_bw;
-        env.resolve_rel_rank = resolve_rel ? rep : -1;
-        const jit::Block* blk = jcache.insert(jit::compile(prog, pc, scan, g, env));
-        ++result.jit_blocks;
-        return blk;
-    };
-
-    // Run block `blk` for class ci from step `step0` (0 = fresh dispatch,
-    // else a resume after an in-block recv blocked). Returns 1 when the
-    // block ran to completion, -1 when the class suspended (in-block recv
-    // without a message; parked via jit_blk/jit_step), 0 when a relative
-    // p2p step group-split the class mid-block — pc then sits at the split
-    // op and the interpreter takes over the dispatch. The step bodies are
-    // the interpreter branches minus everything precomputed; `pc` tracks per
-    // step so noise draws and deadlock/forensic snapshots see the exact
-    // interpreter state.
-    //
-    // The class's hot scalars live in locals for the whole run: the step
-    // bodies store into mailboxes, the runnable queue and other classes, and
-    // the compiler cannot prove those stores don't alias `s` — keeping the
-    // state in `s` directly forces a reload + re-store of time/pc/stats
-    // through memory on every step, which at ~10 machine instructions per
-    // step is most of the loop.
-    const auto execute_block = [&](std::uint32_t ci, const jit::Block* blk,
-                                   std::uint32_t step0) -> int {
-        auto& s = cls[ci];
-        auto& stats = s.stats;
-        const int r = s.rep;
-        ++result.jit_block_runs;
-        if (blk->has_p2p) ensure_p2p();
-        const jit::Step* const steps = blk->steps.data();
-        const auto nsteps = static_cast<std::uint32_t>(blk->steps.size());
-        // Hoisted across absolute steps (compile_block resolved every slot,
-        // so they never grow the arena); refreshed after relative sends,
-        // whose per-member slot_for calls can.
-        SrcQueue* qa = qarena.data();
-        double t = s.time;
-        std::size_t pc = s.pc;
-        double flops = s.flops;
-        double compute_acc = stats.compute;
-        double recv_wait_acc = stats.recv_wait;
-        double inj_bytes = stats.injected_bytes;
-        int msgs_sent = stats.msgs_sent;
-        int msgs_recv = stats.msgs_received;
-        PhaseId mark = s.mark_id;
-        const auto writeback = [&] {
-            s.time = t;
-            s.pc = pc;
-            s.flops = flops;
-            s.mark_id = mark;
-            stats.compute = compute_acc;
-            stats.recv_wait = recv_wait_acc;
-            stats.injected_bytes = inj_bytes;
-            stats.msgs_sent = msgs_sent;
-            stats.msgs_received = msgs_recv;
-        };
-        // Relative p2p steps run through the shared class-state helpers
-        // (rel_send_exec / rel_recv_exec advance s directly), so the hot
-        // locals round-trip through a writeback + reload around them. The
-        // O(size) member fan-out dwarfs that cost.
-        const auto reload = [&] {
-            t = s.time;
-            pc = s.pc;
-            flops = s.flops;
-            mark = s.mark_id;
-            compute_acc = stats.compute;
-            recv_wait_acc = stats.recv_wait;
-            inj_bytes = stats.injected_bytes;
-            msgs_sent = stats.msgs_sent;
-            msgs_recv = stats.msgs_received;
-        };
-        for (std::uint32_t i = step0; i < nsteps; ++i) {
-            const jit::Step& st = steps[i];
-            switch (st.kind) {
-                case jit::StepKind::compute: {
-                    double dt = st.cost;
-                    if (os_noise > 0) {
-                        dt *= 1.0 + os_noise * noise_sample(r, pc);
-                    }
-                    const PhaseId label_id = mark != kNoPhase ? mark : st.label;
-                    t += dt;
-                    compute_acc += dt;
-                    flops += st.aux;
-                    accum_phase(s, label_id, dt);
-                    ++pc;
-                    break;
-                }
-                case jit::StepKind::send: {
-                    const double arrival = t + st.cost;
-                    t += st.aux;
-                    inj_bytes += st.bytes;
-                    ++msgs_sent;
-                    // st.qidx is the (r -> dst) queue's arena slot (compiled
-                    // under the rank guard) — the mailbox scan, precomputed
-                    // down to one computed address.
-                    qa[static_cast<std::size_t>(st.qidx)].push_back(
-                        Message{r, st.tag, arrival});
-                    if (recv_waiting_at(st.a_int)) {
-                        wake(cls_of[static_cast<std::size_t>(st.a_int)]);
-                    }
-                    ++pc;
-                    break;
-                }
-                case jit::StepKind::recv: {
-                    // want_src/want_tag stay current even on the matched
-                    // path: the quiescence scan and deadlock forensics read
-                    // them, exactly as after the interpreter's RecvOp.
-                    s.want_src = st.a_int;
-                    s.want_tag = st.tag;
-                    s.want_rel = false;
-                    // try_recv specialised to an explicit source: st.qidx is
-                    // the (src -> r) queue's arena slot; the first tag match
-                    // in FIFO order is the unique candidate, consumed with
-                    // the same head-advance / mid-erase rule.
-                    auto& sq = qa[static_cast<std::size_t>(st.qidx)];
-                    const Message* msgs = sq.data();
-                    std::uint32_t qi = sq.head;
-                    const std::uint32_t qn = sq.size();
-                    while (qi < qn && msgs[qi].tag != st.tag) ++qi;
-                    if (qi < qn) {
-                        const double arrival = msgs[qi].arrival;
-                        sq.consume(qi);
-                        if (arrival > t) {
-                            recv_wait_acc += arrival - t;
-                            t = arrival;
-                        }
-                        ++msgs_recv;
-                        s.blocked = BlockKind::none;
-                        clr_recv_wait(r);
-                        ++pc;
-                    } else {
-                        s.blocked = BlockKind::recv;
-                        set_recv_wait(r);
-                        s.jit_blk = blk;
-                        s.jit_step = i;
-                        result.jit_ops += i - step0;
-                        writeback();
-                        return -1;
-                    }
-                    break;
-                }
-                case jit::StepKind::send_rel: {
-                    writeback();
-                    const SendOp op{st.a_int, st.bytes, st.tag, /*rel=*/true};
-                    if (!rel_send_exec(ci, op)) {
-                        // Hop tier diverged: the class group-split with pc
-                        // at this op; the interpreter takes over (and the
-                        // uniform subgroups re-enter the JIT next dispatch).
-                        result.jit_ops += i - step0;
-                        return 0;
-                    }
-                    reload();
-                    qa = qarena.data();  // slot_for may have grown the arena
-                    break;
-                }
-                case jit::StepKind::recv_rel: {
-                    writeback();
-                    const RecvOp op{st.a_int, st.tag, /*rel=*/true};
-                    const int got = rel_recv_exec(ci, op);
-                    if (got == 0) {
-                        result.jit_ops += i - step0;
-                        return 0;
-                    }
-                    if (got == 2) {
-                        // Parked mid-block, mirroring the absolute recv
-                        // suspension; rel_recv_exec already recorded the
-                        // blocked/waiting state for every member.
-                        s.jit_blk = blk;
-                        s.jit_step = i;
-                        result.jit_ops += i - step0;
-                        return -1;
-                    }
-                    reload();
-                    break;
-                }
-                case jit::StepKind::mark:
-                    mark = st.label;
-                    ++pc;
-                    break;
-            }
-        }
-        result.jit_ops += nsteps - step0;
-        s.jit_link = blk;
-        writeback();
-        return 1;
-    };
-
-    // Block lookup for class ci at its current pc. Returns 1 when a block
-    // ran to completion, -1 when it suspended on an in-block recv, 0 when
-    // the interpreter should take this dispatch (boundary at pc, run too
-    // short, cache full, a collapsed class that must split first, or a
-    // block that bailed after a mid-block grouped split).
-    const auto attempt_jit = [&](std::uint32_t ci) -> int {
-        auto& s = cls[ci];
-        const std::size_t pc = s.pc;
-        // Run-table cursor: advance past runs the class has finished (pc only
-        // moves forward), then classify this pc with plain comparisons — no
-        // key loads, no hash probe, no verify in the steady state.
-        const auto& runs = s.rt->runs;
-        const auto nr = static_cast<std::uint32_t>(runs.size());
-        std::uint32_t k = s.run_idx;
-        while (k < nr && pc >= runs[k].start + runs[k].len) ++k;
-        s.run_idx = k;
-        if (k == nr || pc < runs[k].start) return 0;  // boundary op at pc
-        const jit::RunEntry& ru = runs[k];
-        // Collapsed classes interpret runs that would *fully* split them
-        // (absolute-addressed p2p, or noise-stretched compute): the
-        // interpreter's split-before-execute peels members at the exact op,
-        // and the singletons re-enter here — this is the §11 class-split
-        // guard. Relative p2p runs compile and execute merged: their steps
-        // resolve price and queues per member, splitting by group mid-block
-        // only where the symmetry genuinely breaks. (For a mid-run suffix
-        // the whole run's flags over-approximate the suffix — conservative,
-        // and only reachable transiently while a class is being peeled.)
-        if (s.size > 1 && (ru.has_abs_p2p || (ru.has_compute && os_noise > 0))) {
-            return 0;
-        }
-        const bool at_start = pc == ru.start;
-        const jit::Block* blk = nullptr;
-        if (at_start) {
-            if (ru.len < jit::kMinRun) return 0;
-            // Memoized hit: this class already resolved a verified Block for
-            // this content id. Equal id ⇒ byte-equal OpKey range ⇒ the Block
-            // is a faithful compilation here too; guards hold because ctx and
-            // rep are class identity and knobs/model are fixed per run.
-            if (!s.run_blocks.empty()) blk = s.run_blocks[ru.id];
-        }
-        if (blk == nullptr) {
-            // Slow path: first sighting of this content id by this class (or
-            // a mid-run suffix entry after interpreted ops). Same guarded,
-            // verified resolution as ever — link hint, then hash probe, then
-            // compile.
-            const Program& prog = *s.prog;
-            const OpKey* const keys = keys_of(prog);
-            jit::Guards want;
-            want.model_version = arch::kModelVersion;
-            want.knobs_fp = knobs_fp;
-            want.ctx = s.ctx;
-            want.rank = s.rep;
-            if (s.jit_link != nullptr && s.jit_link->next != nullptr) {
-                const jit::Block* cand = s.jit_link->next;
-                if (jit::guards_match(cand->guards, want) &&
-                    jit::verify(*cand, prog, keys, pc)) {
-                    blk = cand;
-                }
-            }
-            if (blk == nullptr) {
-                const jit::RunScan scan =
-                    jit::scan_run(keys, pc, prog.ops.size());
-                if (scan.len < jit::kMinRun) return 0;
-                blk = jcache.find(scan.hash, want, prog, keys, pc, scan.len);
-                if (blk == nullptr) {
-                    if (jcache.full()) return 0;
-                    blk = compile_block(prog, pc, scan, s.ctx, s.rep,
-                                        /*resolve_rel=*/s.size == 1);
-                }
-                if (s.jit_link != nullptr) s.jit_link->next = blk;
-            }
-            if (at_start) {
-                if (s.run_blocks.empty()) {
-                    s.run_blocks.assign(s.rt->distinct, nullptr);
-                }
-                s.run_blocks[ru.id] = blk;
-            }
-        }
-        return execute_block(ci, blk, 0);
-    };
-    // -----------------------------------------------------------------------
 
     while (finished_ranks < n) {
         if (run_head == runnable.size()) {
@@ -1419,35 +1015,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         const std::size_t nops = prog.ops.size();
 
         bool advancing = true;
-        // One JIT probe per dispatch: consumed on the first op, re-armed
-        // after ops that end a run (a completed collective, a matched recv),
-        // so the interpreter never re-scans mid-run.
-        bool try_jit = jit_enabled;
         while (advancing && cls[ci].pc < nops) {
-            if (jit_enabled) {
-                if (cls[ci].jit_blk != nullptr) {
-                    // Parked mid-block on a recv that now (presumably) has a
-                    // message: resume at the suspended step. A 0 return
-                    // (mid-block grouped split) falls through — the op at pc
-                    // is handled below and the JIT re-engages next dispatch.
-                    const jit::Block* blk = cls[ci].jit_blk;
-                    const std::uint32_t step = cls[ci].jit_step;
-                    cls[ci].jit_blk = nullptr;
-                    const int got = execute_block(ci, blk, step);
-                    if (got != 0) {
-                        if (got < 0) advancing = false;
-                        continue;
-                    }
-                }
-                if (try_jit) {
-                    try_jit = false;
-                    const int got = attempt_jit(ci);
-                    if (got != 0) {
-                        if (got < 0) advancing = false;
-                        continue;
-                    }
-                }
-            }
             // Split-before-execute: peel members off *before* binding any
             // reference (splitting grows `cls`, invalidating references).
             // Relative-addressed p2p is the exception: a merged class
@@ -1467,9 +1035,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 } else if (t == 2) {
                     const auto* rcv = std::get_if<RecvOp>(&op0);
                     if (rcv->rel) {
-                        const int got = rel_recv_exec(ci, *rcv);
-                        if (got == 1) try_jit = jit_enabled;  // run boundary
-                        if (got == 2) advancing = false;
+                        if (rel_recv_exec(ci, *rcv)) advancing = false;
                         continue;
                     }
                     split_class(ci, SplitWhy::p2p);
@@ -1550,7 +1116,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                     s.blocked = BlockKind::none;
                     clr_recv_wait(r);
                     ++s.pc;
-                    try_jit = jit_enabled;  // a matched recv ends a run
                 } else {
                     s.blocked = BlockKind::recv;
                     if (!rcv->is_any()) set_recv_wait(r);
@@ -1638,7 +1203,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                     stats.collective_wait += coll.completion - s.time;
                     s.time = coll.completion;
                     ++s.pc;
-                    try_jit = jit_enabled;  // a collective ends a run
                 } else {
                     coll.waiters.push_back(ci);
                     s.blocked = BlockKind::collective;

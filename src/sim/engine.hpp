@@ -94,15 +94,6 @@ struct RunOptions {
     /// simulation-cost knob, never a model knob. Ignored (forced off) when a
     /// Trace is attached.
     bool collapse = true;
-    /// Trace-JIT superop execution (DESIGN.md §13): straight-line op runs
-    /// are compiled once into blocks with precomputed per-step costs and
-    /// lazily linked across loop iterations; the interpreter handles
-    /// boundaries (collectives, wildcard receives) and everything the
-    /// guards reject. Bit-identical on or off — another simulation-cost
-    /// knob. Forced off under a nonzero perturb_seed (the determinism
-    /// adversary must exercise raw per-op scheduling) and under a Trace
-    /// (per-span recording needs the interpreter).
-    bool jit = true;
 };
 
 struct RunResult {
@@ -127,14 +118,6 @@ struct RunResult {
     int collapse_split_p2p = 0;
     int collapse_split_noise = 0;
     int collapse_split_placement = 0;
-    /// Trace-JIT diagnostics (like the collapse counters: excluded from
-    /// diff_results and the cache codec). Superop blocks compiled this run,
-    /// block dispatches (including partial resumes after an in-block recv
-    /// blocked), and ops executed through blocks rather than the
-    /// interpreter.
-    int jit_blocks = 0;
-    long long jit_block_runs = 0;
-    long long jit_ops = 0;
 
     [[nodiscard]] double gflops() const {
         return makespan > 0 ? total_flops / 1e9 / makespan : 0.0;

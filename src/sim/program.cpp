@@ -25,6 +25,8 @@ void mixd(std::uint64_t& h, double v) {
     mix(h, u);
 }
 
+/// Mixes one op's *content* into an FNV-1a hash — pool-layout-independent:
+/// ComputeOps hash their cost signature + label id, never phase_idx.
 struct OpHasher {
     std::uint64_t& h;
     void operator()(const ComputeOp& c) const {
@@ -60,6 +62,28 @@ struct OpHasher {
         mix(h, m.label_id);
     }
 };
+
+/// Pool-resolved content equality of two ops from (possibly different)
+/// programs: ComputeOps compare label + cost signature + phase content
+/// (bitwise cost inputs), with a pointer fast path when both resolve to the
+/// same pooled payload.
+bool same_op_content(const Program& pa, const Op& a, const Program& pb,
+                     const Op& b) {
+    if (a.index() != b.index()) return false;
+    if (const auto* ca = std::get_if<ComputeOp>(&a)) {
+        const auto& cb = std::get<ComputeOp>(b);
+        if (ca->label_id != cb.label_id || ca->cost_key != cb.cost_key) return false;
+        const arch::ComputePhase& fa = pa.phase_of(*ca);
+        const arch::ComputePhase& fb = pb.phase_of(cb);
+        return &fa == &fb || arch::same_cost_inputs(fa, fb);
+    }
+    if (const auto* sa = std::get_if<SendOp>(&a)) return *sa == std::get<SendOp>(b);
+    if (const auto* ra = std::get_if<RecvOp>(&a)) return *ra == std::get<RecvOp>(b);
+    if (const auto* aa = std::get_if<AllreduceOp>(&a)) return *aa == std::get<AllreduceOp>(b);
+    if (const auto* ta = std::get_if<AlltoallOp>(&a)) return *ta == std::get<AlltoallOp>(b);
+    if (const auto* ma = std::get_if<MarkOp>(&a)) return *ma == std::get<MarkOp>(b);
+    return true;  // BarrierOp: same index is enough
+}
 
 } // namespace
 
@@ -105,219 +129,10 @@ double Program::total_main_bytes() const {
     return sum;
 }
 
-void mix_op_hash(std::uint64_t& h, const Op& op) {
-    std::visit(OpHasher{h}, op);
-}
-
-bool same_op_content(const Program& pa, const Op& a, const Program& pb,
-                     const Op& b) {
-    if (a.index() != b.index()) return false;
-    if (const auto* ca = std::get_if<ComputeOp>(&a)) {
-        const auto& cb = std::get<ComputeOp>(b);
-        if (ca->label_id != cb.label_id || ca->cost_key != cb.cost_key) return false;
-        const arch::ComputePhase& fa = pa.phase_of(*ca);
-        const arch::ComputePhase& fb = pb.phase_of(cb);
-        return &fa == &fb || arch::same_cost_inputs(fa, fb);
-    }
-    if (const auto* sa = std::get_if<SendOp>(&a)) return *sa == std::get<SendOp>(b);
-    if (const auto* ra = std::get_if<RecvOp>(&a)) return *ra == std::get<RecvOp>(b);
-    if (const auto* aa = std::get_if<AllreduceOp>(&a)) return *aa == std::get<AllreduceOp>(b);
-    if (const auto* ta = std::get_if<AlltoallOp>(&a)) return *ta == std::get<AlltoallOp>(b);
-    if (const auto* ma = std::get_if<MarkOp>(&a)) return *ma == std::get<MarkOp>(b);
-    return true;  // BarrierOp: same index is enough
-}
-
-namespace {
-
-/// One-multiply word mix for the op-key intern chains (speed over per-call
-/// quality: collisions only lengthen a compare chain, never merge content).
-inline void mixw(std::uint64_t& h, std::uint64_t v) {
-    h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
-    h ^= h >> 29;
-}
-
-inline std::uint64_t fast_op_hash(const Op& op) {
-    std::uint64_t h = 0x2545F4914F6CDD1DULL;
-    mixw(h, op.index());
-    if (const auto* s = std::get_if<SendOp>(&op)) {
-        mixw(h, static_cast<std::uint32_t>(s->dst) |
-                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(s->tag))
-                        << 32);
-        std::uint64_t b;
-        std::memcpy(&b, &s->bytes, sizeof b);
-        mixw(h, b + (s->rel ? 1 : 0));
-    } else if (const auto* r = std::get_if<RecvOp>(&op)) {
-        mixw(h, static_cast<std::uint32_t>(r->src) |
-                    static_cast<std::uint64_t>(static_cast<std::uint32_t>(r->tag))
-                        << 32);
-        mixw(h, r->rel ? 1 : 0);
-    } else if (const auto* a = std::get_if<AllreduceOp>(&op)) {
-        std::uint64_t b;
-        std::memcpy(&b, &a->bytes, sizeof b);
-        mixw(h, b);
-    } else if (const auto* t = std::get_if<AlltoallOp>(&op)) {
-        std::uint64_t b;
-        std::memcpy(&b, &t->bytes_each, sizeof b);
-        mixw(h, b);
-    }
-    return h;
-}
-
-} // namespace
-
-std::vector<OpKey> compute_op_keys(const Program& p) {
-    std::vector<OpKey> keys;
-    keys.reserve(p.ops.size());
-    constexpr std::uint32_t kIdCap = 1u << kOpKeyKindShift;
-    const auto pack = [](OpKeyKind k, std::uint32_t id) {
-        return (static_cast<OpKey>(k) << kOpKeyKindShift) | id;
-    };
-    // First-occurrence interning of p2p/collective payloads: hash chains
-    // with exact same_op_content compares, so equal keys always mean equal
-    // content (a hash collision only lengthens a chain). Compute and mark
-    // ops skip the interner — pool_phase and the label interner already
-    // provide canonical per-program ids.
-    struct Slot {
-        std::uint32_t op_idx;
-        std::uint32_t id;
-    };
-    std::unordered_map<std::uint64_t, std::vector<Slot>> chains;
-    std::uint32_t next_id = 0;
-    const auto intern = [&](const Op& op, std::size_t i) -> std::uint32_t {
-        auto& chain = chains[fast_op_hash(op)];
-        for (const Slot& s : chain) {
-            if (same_op_content(p, p.ops[s.op_idx], p, op)) return s.id;
-        }
-        ARMSTICE_CHECK(next_id < kIdCap, "program exceeds op-key id space");
-        chain.push_back(Slot{static_cast<std::uint32_t>(i), next_id});
-        return next_id++;
-    };
-    for (std::size_t i = 0; i < p.ops.size(); ++i) {
-        const Op& op = p.ops[i];
-        switch (op.index()) {
-            case 0: {
-                const auto& c = *std::get_if<ComputeOp>(&op);
-                ARMSTICE_CHECK(c.phase_idx < kIdCap,
-                               "program exceeds op-key id space");
-                keys.push_back(pack(OpKeyKind::compute, c.phase_idx));
-                break;
-            }
-            case 1: {
-                const auto& s = *std::get_if<SendOp>(&op);
-                keys.push_back(
-                    pack(s.rel ? OpKeyKind::send_rel : OpKeyKind::send,
-                         intern(op, i)));
-                break;
-            }
-            case 2: {
-                const auto& r = *std::get_if<RecvOp>(&op);
-                keys.push_back(pack(r.is_any() ? OpKeyKind::recv_any
-                               : r.rel         ? OpKeyKind::recv_rel
-                                               : OpKeyKind::recv,
-                                    intern(op, i)));
-                break;
-            }
-            case 3:
-                keys.push_back(pack(OpKeyKind::allreduce, intern(op, i)));
-                break;
-            case 4:
-                keys.push_back(pack(OpKeyKind::barrier, 0));
-                break;
-            case 5:
-                keys.push_back(pack(OpKeyKind::alltoall, intern(op, i)));
-                break;
-            default: {
-                const auto& m = *std::get_if<MarkOp>(&op);
-                ARMSTICE_CHECK(m.label_id < kIdCap,
-                               "program exceeds op-key id space");
-                keys.push_back(pack(OpKeyKind::mark, m.label_id));
-                break;
-            }
-        }
-    }
-    return keys;
-}
-
-void Program::finalize_op_keys() {
-    if (op_keys.size() != ops.size()) op_keys = compute_op_keys(*this);
-}
-
-OpRunTable compute_op_runs(const OpKey* keys, std::size_t nops) {
-    OpRunTable rt;
-    rt.source_ops = nops;
-    // Content-id interning: hash chains with exact key-subrange compares, so
-    // equal ids always mean byte-equal OpKey ranges (a collision only
-    // lengthens a chain). Chain entries index rt.runs (the first run carrying
-    // each new id).
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
-    std::size_t pc = 0;
-    while (pc < nops) {
-        if (op_key_is_boundary(keys[pc])) {
-            ++pc;
-            continue;
-        }
-        OpRun e;
-        e.start = static_cast<std::uint32_t>(pc);
-        // Same seed (FNV offset basis) and word mix as sim::jit::scan_run, so
-        // a table entry's hash and an on-demand scan of the same range are
-        // interchangeable — e.g. as superop-block cache keys.
-        std::uint64_t h = 0xcbf29ce484222325ULL;
-        std::size_t i = pc;
-        const std::size_t stop = pc + kOpRunCap < nops ? pc + kOpRunCap : nops;
-        std::uint32_t kinds_seen = 0;  // bitset over OpKeyKind
-        for (; i < stop; ++i) {
-            const OpKey k = keys[i];
-            if (op_key_is_boundary(k)) break;
-            kinds_seen |= 1u << (k >> kOpKeyKindShift);
-            mixw(h, k);
-        }
-        e.len = static_cast<std::uint32_t>(i - pc);
-        mixw(h, e.len);
-        e.hash = h;
-        e.has_compute =
-            (kinds_seen &
-             (1u << static_cast<std::uint32_t>(OpKeyKind::compute))) != 0;
-        e.has_abs_p2p =
-            (kinds_seen & ((1u << static_cast<std::uint32_t>(OpKeyKind::send)) |
-                           (1u << static_cast<std::uint32_t>(OpKeyKind::recv)))) !=
-            0;
-        e.has_p2p =
-            e.has_abs_p2p ||
-            (kinds_seen &
-             ((1u << static_cast<std::uint32_t>(OpKeyKind::send_rel)) |
-              (1u << static_cast<std::uint32_t>(OpKeyKind::recv_rel)))) != 0;
-        e.id = rt.distinct;
-        auto& chain = by_hash[e.hash];
-        for (const std::uint32_t j : chain) {
-            const OpRun& o = rt.runs[j];
-            if (o.len == e.len &&
-                std::memcmp(keys + o.start, keys + e.start,
-                            e.len * sizeof(OpKey)) == 0) {
-                e.id = o.id;
-                break;
-            }
-        }
-        if (e.id == rt.distinct) {
-            chain.push_back(static_cast<std::uint32_t>(rt.runs.size()));
-            ++rt.distinct;
-        }
-        rt.runs.push_back(e);
-        pc += e.len;
-    }
-    return rt;
-}
-
-void Program::finalize_op_runs() {
-    if (op_runs.source_ops != ops.size()) {
-        finalize_op_keys();
-        op_runs = compute_op_runs(op_keys.data(), ops.size());
-    }
-}
-
 std::uint64_t Program::structure_hash() const {
     std::uint64_t h = kFnvOffset;
     mix(h, ops.size());
-    for (const auto& op : ops) mix_op_hash(h, op);
+    for (const auto& op : ops) std::visit(OpHasher{h}, op);
     return h;
 }
 
@@ -352,17 +167,12 @@ ProgramBundle ProgramBundle::from(std::vector<Program> programs) {
         }
         b.index_.push_back(idx);
     }
-    // Once per distinct program, amortised across every run of the bundle
-    // (the trace-JIT derives keys and run tables per run for raw programs
-    // instead).
-    for (auto& prog : b.distinct_) prog.finalize_op_runs();
     return b;
 }
 
 ProgramBundle ProgramBundle::shared(Program proto, int ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramBundle::shared needs >=1 rank");
     ProgramBundle b;
-    proto.finalize_op_runs();
     b.distinct_.push_back(std::move(proto));
     b.index_.assign(static_cast<std::size_t>(ranks), 0);
     return b;

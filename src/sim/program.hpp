@@ -119,90 +119,11 @@ struct MarkOp {
 using Op =
     std::variant<ComputeOp, SendOp, RecvOp, AllreduceOp, BarrierOp, AlltoallOp, MarkOp>;
 
-/// Compact per-op content key (the trace-JIT's working representation,
-/// sim/jit.hpp): top 4 bits = OpKeyKind, low 28 bits = an exact per-program
-/// content id (pool index, or first-occurrence intern ordinal of the op's
-/// payload). Within ONE program, key equality <=> op content equality, so
-/// superop-block verification and run scanning walk a dense 4-byte-per-op
-/// array instead of re-streaming the 48-byte op variants — at 10^3 ranks the
-/// op arrays are tens of MB and those walks were memory-bound. Keys are NOT
-/// comparable across programs (intern ordinals are program-local).
-using OpKey = std::uint32_t;
-
-inline constexpr int kOpKeyKindShift = 28;
-
-/// Kind codes. Values >= kOpKeyBoundaryKind end a straight-line run: the
-/// outcome of collectives and wildcard receives depends on global state a
-/// compiled block cannot precompute.
-enum class OpKeyKind : std::uint32_t {
-    compute = 1,
-    send = 2,  ///< absolute-destination send
-    recv = 3,  ///< absolute explicit-source receive
-    mark = 4,
-    send_rel = 5,  ///< relative-offset send (SendOp::rel)
-    recv_rel = 6,  ///< relative-offset receive (RecvOp::rel)
-    allreduce = 8,
-    barrier = 9,
-    alltoall = 10,
-    recv_any = 11,  ///< MPI_ANY_SOURCE receive
-};
-inline constexpr std::uint32_t kOpKeyBoundaryKind = 8;
-
-[[nodiscard]] inline OpKeyKind op_key_kind(OpKey k) {
-    return static_cast<OpKeyKind>(k >> kOpKeyKindShift);
-}
-[[nodiscard]] inline bool op_key_is_boundary(OpKey k) {
-    return (k >> kOpKeyKindShift) >= kOpKeyBoundaryKind;
-}
-
-/// Length cap for straight-line run partitioning (and therefore the maximum
-/// trace-JIT superop block length): a longer run is chunked, bounding
-/// per-block memory and verification cost.
-inline constexpr std::size_t kOpRunCap = 4096;
-
-/// One straight-line run in a program: ops [start, start+len) with no
-/// boundary key inside. `id` is the run's *content id*: two runs whose OpKey
-/// subranges are byte-identical share one id (exact compare at build time,
-/// not just hash), so anything validated against one occurrence — a verified
-/// superop block, a priced cost — holds for every occurrence with that id.
-struct OpRun {
-    std::uint32_t start = 0;
-    std::uint32_t len = 0;
-    std::uint32_t id = 0;
-    std::uint64_t hash = 0;
-    bool has_p2p = false;      ///< any send / explicit recv in the run
-    bool has_abs_p2p = false;  ///< any *absolute-addressed* send / recv
-    bool has_compute = false;  ///< any compute op in the run
-};
-
-/// A program's complete partition into straight-line runs, in ascending pc
-/// order with boundary ops (collectives, wildcard receives) in the gaps.
-/// Pure function of the OpKey sidecar; programs are fully unrolled, so a
-/// consumer's pc moves strictly forward and a monotone cursor over `runs`
-/// classifies any pc with one comparison. `distinct` counts content ids
-/// (iteration bodies repeat, so distinct is usually far below runs.size()).
-struct OpRunTable {
-    std::vector<OpRun> runs;
-    std::uint32_t distinct = 0;
-    /// ops.size() the table was built from; != current size means "not
-    /// built" (mirrors the op_keys idiom — derived data, rebuilt on demand).
-    std::size_t source_ops = SIZE_MAX;
-};
-
 struct Program {
     std::vector<Op> ops;
     /// Distinct phase payloads referenced by ComputeOp::phase_idx. Deduped
     /// bitwise (same_cost_inputs + label) as ops are built.
     std::vector<arch::ComputePhase> phases;
-    /// Per-op content keys, parallel to `ops`. Empty until finalize_op_keys()
-    /// runs (ProgramBundle does this once per distinct program); the engine
-    /// derives keys itself for programs handed over raw. Derived data:
-    /// excluded from operator== and structure_hash.
-    std::vector<OpKey> op_keys;
-    /// Straight-line-run partition of `ops` (see OpRunTable). Built by
-    /// finalize_op_runs() / ProgramBundle; the engine derives a table itself
-    /// for raw programs. Derived data, like op_keys.
-    OpRunTable op_runs;
 
     Program& compute(arch::ComputePhase phase) {
         const PhaseId id = intern_phase_label(phase.label);
@@ -255,15 +176,6 @@ struct Program {
     /// Total counted main-memory bytes.
     [[nodiscard]] double total_main_bytes() const;
 
-    /// Build op_keys from ops (idempotent). Call after the program is fully
-    /// built; appending ops afterwards invalidates the keys.
-    void finalize_op_keys();
-
-    /// Build op_runs from op_keys (finalizing keys first if needed;
-    /// idempotent). Amortises the run partition across every engine run of a
-    /// bundled program.
-    void finalize_op_runs();
-
     /// Structural hash: equal programs hash equal (used with operator== to
     /// deduplicate structurally identical rank programs).
     [[nodiscard]] std::uint64_t structure_hash() const;
@@ -277,30 +189,6 @@ private:
     /// Index of `phase` in `phases`, appending if new.
     std::uint32_t pool_phase(arch::ComputePhase phase);
 };
-
-/// Mix one op's *content* into an FNV-1a hash — pool-layout-independent:
-/// ComputeOps hash their cost signature + label id, never phase_idx. The
-/// same mixing backs Program::structure_hash (whole programs) and the
-/// trace-JIT's superop-block keys (op subranges, sim/jit.hpp).
-void mix_op_hash(std::uint64_t& h, const Op& op);
-
-/// Pool-resolved content equality of two ops from (possibly different)
-/// programs: ComputeOps compare label + cost signature + phase content
-/// (bitwise cost inputs), with a pointer fast path when both resolve to the
-/// same pooled payload. Backs Program::operator== and superop-block
-/// verification (hash hits never merge unequal op runs).
-bool same_op_content(const Program& pa, const Op& a, const Program& pb,
-                     const Op& b);
-
-/// The op-key array for `p` (finalize_op_keys without mutating the program —
-/// what the engine uses for programs that never went through a
-/// ProgramBundle). Deterministic: two calls on equal programs produce equal
-/// arrays.
-[[nodiscard]] std::vector<OpKey> compute_op_keys(const Program& p);
-
-/// Partition keys[0, nops) into an OpRunTable. Runs shorter than any
-/// consumer's minimum are kept — the cursor needs every gap accounted for.
-[[nodiscard]] OpRunTable compute_op_runs(const OpKey* keys, std::size_t nops);
 
 /// A set of rank programs with structural sharing: structurally identical
 /// programs are stored once and every rank holds an index into the distinct

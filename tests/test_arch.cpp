@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <string>
+#include <vector>
 
 namespace aa = armstice::arch;
 
@@ -152,8 +155,11 @@ TEST(Toolchain, UnknownSystemThrows) {
     EXPECT_THROW(aa::toolchain_for("Summit", "hpcg"), armstice::util::Error);
 }
 
+// The app is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which ASLR changes on every run, so the test
+// names ctest discovers would differ from build to build.
 class ToolchainCoverage
-    : public ::testing::TestWithParam<std::tuple<std::size_t, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::string>> {};
 
 TEST_P(ToolchainCoverage, EverySystemAppPairResolves) {
     const auto& sys = aa::system_catalog()[std::get<0>(GetParam())];
@@ -166,4 +172,6 @@ TEST_P(ToolchainCoverage, EverySystemAppPairResolves) {
 INSTANTIATE_TEST_SUITE_P(
     AllPairs, ToolchainCoverage,
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u, 4u),
-                       ::testing::ValuesIn(aa::kToolchainApps)));
+                       ::testing::ValuesIn(std::vector<std::string>(
+                           std::begin(aa::kToolchainApps),
+                           std::end(aa::kToolchainApps)))));

@@ -243,6 +243,36 @@ TEST(SweepRunner, FooterReportsPoolPointsAndHitRate) {
     EXPECT_NE(footer.find("hit rate"), std::string::npos);
 }
 
+TEST(SweepRunner, NestedBatchesCountWallTimeOnce) {
+    // An evaluation that runs its own batch (compute_scorecard's entries run
+    // artefact batches) must not add the inner batch's time on top of the
+    // outer batch's: the batch wall time can never exceed the caller's.
+    for (const int jobs : {1, 2}) {
+        ac::reset_sweep_cache();
+        const std::vector<ac::SweepPoint> outer{pt("outer-a"), pt("outer-b")};
+        const auto t0 = std::chrono::steady_clock::now();
+        (void)ac::SweepRunner(jobs).run<int>(
+            outer, [](const ac::SweepPoint& p, std::size_t) {
+                const std::vector<ac::SweepPoint> inner{pt(p.config + "-x"),
+                                                        pt(p.config + "-y")};
+                const auto got = ac::SweepRunner(1).run<int>(
+                    inner, [](const ac::SweepPoint&, std::size_t) {
+                        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                        return 1;
+                    });
+                return got[0] + got[1];
+            });
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count();
+        const auto stats = ac::sweep_stats();
+        EXPECT_EQ(stats.points, 6) << "jobs " << jobs;  // counts stay per batch
+        EXPECT_EQ(stats.misses, 6) << "jobs " << jobs;
+        EXPECT_GT(stats.batch_wall_s, 0.0) << "jobs " << jobs;
+        EXPECT_LE(stats.batch_wall_s, wall) << "jobs " << jobs;
+    }
+}
+
 // ---- RunHooks (per-point streaming + cancellation) --------------------------
 
 namespace {
