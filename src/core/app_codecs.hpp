@@ -22,6 +22,11 @@
 #include <utility>
 
 namespace armstice::core {
+
+/// Encoded size of one sim::RankStats inside a RunResult (five f64, two
+/// i32): every simulated rank adds exactly this many bytes to a result.
+inline constexpr std::uint32_t kRankStatsWireBytes = 48;
+
 namespace codec_detail {
 
 inline void encode_run_result(util::ByteWriter& w, const sim::RunResult& r) {
@@ -50,8 +55,8 @@ inline sim::RunResult decode_run_result(util::ByteReader& r) {
     out.total_flops = r.f64();
     const std::uint32_t nranks = r.u32();
     // Guard the reserve: a corrupt count must not balloon allocation. Each
-    // rank costs exactly 48 payload bytes, so remaining() bounds the count.
-    if (static_cast<std::uint64_t>(nranks) * 48 > r.remaining()) {
+    // rank costs exactly kRankStatsWireBytes, so remaining() bounds the count.
+    if (static_cast<std::uint64_t>(nranks) * kRankStatsWireBytes > r.remaining()) {
         r.invalidate();
         return out;
     }

@@ -5,6 +5,7 @@
 #include "apps/nekbone/nekbone.hpp"
 #include "arch/system.hpp"
 #include "core/app_codecs.hpp"
+#include "serve/protocol.hpp"
 #include "util/error.hpp"
 #include "util/str.hpp"
 
@@ -191,6 +192,24 @@ void check_placement(const PointSpec& spec) {
     }
 }
 
+/// Reject a point whose result could never be served: its per-rank stats
+/// alone would exceed one frame. Total ranks are spec.ranks, except for
+/// COSA, where spec.ranks is ranks per node (0 = a full node).
+void check_frame_bound(const PointSpec& spec, const arch::SystemSpec& sys) {
+    long long ranks = spec.ranks;
+    if (spec.app == "cosa") {
+        ranks = static_cast<long long>(spec.nodes) *
+                (spec.ranks > 0 ? spec.ranks : sys.node.cores());
+    }
+    constexpr long long kMaxRanks = kMaxFrame / core::kRankStatsWireBytes;
+    if (ranks > kMaxRanks) {
+        throw util::Error(util::format(
+            "serve: point simulates %lld ranks; a served result holds at most %lld "
+            "(%u bytes per rank, %u-byte frames)",
+            ranks, kMaxRanks, core::kRankStatsWireBytes, kMaxFrame));
+    }
+}
+
 } // namespace
 
 const std::vector<std::string>& served_apps() {
@@ -200,7 +219,7 @@ const std::vector<std::string>& served_apps() {
 
 PointSpec canonicalize(const PointSpec& spec) {
     check_placement(spec);
-    arch::system_by_name(spec.system);  // throws on unknown system
+    const arch::SystemSpec& sys = arch::system_by_name(spec.system);  // throws if unknown
     PointSpec out = spec;
     if (spec.app == "minikab") {
         out.config = canonical_minikab(parse_minikab(spec));
@@ -214,6 +233,7 @@ PointSpec canonicalize(const PointSpec& spec) {
         throw util::Error("serve: unknown app '" + spec.app + "' (served: " +
                           util::join(served_apps(), ", ") + ")");
     }
+    check_frame_bound(out, sys);
     return out;
 }
 

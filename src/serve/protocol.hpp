@@ -36,7 +36,15 @@ inline constexpr std::uint32_t kProtocolVersion = 1;
 /// Largest accepted payload (frame minus length prefix). Result payloads
 /// are ~50 B/rank, so this comfortably fits multi-thousand-rank results
 /// while capping what a malformed length prefix can make the peer allocate.
+/// The server never sends a larger frame: canonicalize rejects points whose
+/// per-rank stats alone would not fit, and a result that still does not fit
+/// is streamed as a failed point.
 inline constexpr std::uint32_t kMaxFrame = 8u << 20;
+
+/// Largest PointResult payload that still fits one frame: kMaxFrame minus
+/// the frame header (u8 type, u32 req_id) and the PointResult fields around
+/// the payload (u32 index, u8 origin, u8 ok, u32 payload length).
+inline constexpr std::uint32_t kMaxPointPayload = kMaxFrame - 15;
 
 /// Points a single sweep request may carry (admission sanity bound).
 inline constexpr std::uint32_t kMaxPointsPerRequest = 4096;

@@ -301,9 +301,17 @@ void Server::handle_sweep(Session& s, std::uint32_t req_id,
         PointResult pr;
         pr.index = static_cast<std::uint32_t>(i);
         pr.origin = ticket.origin[i];
-        pr.ok = out.ok;
-        pr.payload = out.ok ? out.payload : out.error;
-        if (!out.ok) ++errors;
+        pr.ok = out.ok && out.payload.size() <= kMaxPointPayload;
+        if (pr.ok) {
+            pr.payload = out.payload;
+        } else if (out.ok) {
+            pr.payload = util::format(
+                "serve: result of %zu bytes does not fit a %u-byte frame",
+                out.payload.size(), kMaxFrame);
+        } else {
+            pr.payload = out.error;
+        }
+        if (!pr.ok) ++errors;
         m.body = std::move(pr);
         if (!send(s, m)) return;
     }

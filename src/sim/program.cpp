@@ -170,6 +170,17 @@ ProgramBundle ProgramBundle::from(std::vector<Program> programs) {
     return b;
 }
 
+ProgramBundle ProgramBundle::classes(std::vector<Program> distinct,
+                                     std::vector<std::uint32_t> index) {
+    for (const std::uint32_t i : index) {
+        ARMSTICE_CHECK(i < distinct.size(), "ProgramBundle::classes index out of range");
+    }
+    ProgramBundle b;
+    b.distinct_ = std::move(distinct);
+    b.index_ = std::move(index);
+    return b;
+}
+
 ProgramBundle ProgramBundle::shared(Program proto, int ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramBundle::shared needs >=1 rank");
     ProgramBundle b;

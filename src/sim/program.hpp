@@ -207,6 +207,12 @@ public:
     /// program storage, no hashing.
     static ProgramBundle shared(Program proto, int ranks);
 
+    /// Adopt programs that are already distinct, with rank r running
+    /// `distinct[index[r]]` (simmpi::ProgramSet's class build). No hashing
+    /// or comparison; throws util::Error on an index out of range.
+    static ProgramBundle classes(std::vector<Program> distinct,
+                                 std::vector<std::uint32_t> index);
+
     [[nodiscard]] int ranks() const { return static_cast<int>(index_.size()); }
     [[nodiscard]] int distinct() const { return static_cast<int>(distinct_.size()); }
     [[nodiscard]] const Program& of(int rank) const {

@@ -5,17 +5,21 @@
 // sends-before-receives ordering that is deadlock-free under the engine's
 // eager-send semantics (mirroring nonblocking-irecv/isend/waitall codes).
 //
-// Building is copy-on-write: while only SPMD helpers have been used, ops
-// accumulate in ONE prototype program shared by every rank; the first
-// rank-dependent call (at(), compute_by_rank, halo_exchange) forks the
-// prototype into per-rank copies. take_bundle() hands the engine a
-// sim::ProgramBundle that keeps structurally identical rank programs shared
-// (O(distinct x ops) memory); take() still materialises the full per-rank
-// vector for callers that inspect or mutate individual programs.
+// Building is per class of ranks, not per rank: ProgramSet keeps one Program
+// per class of ranks whose programs are identical so far, plus a rank->class
+// index. SPMD helpers append once per class. compute_by_rank and
+// halo_exchange split a class only when its members would append different
+// ops, copying the class's program once per new class. take_bundle() hands
+// the classes to the engine as a sim::ProgramBundle without hashing or
+// comparing programs; it equals ProgramBundle::from(take()) in programs,
+// order and rank index. take() expands the classes into the full per-rank
+// vector for callers that inspect individual programs.
 
 #include "arch/phase.hpp"
 #include "sim/program.hpp"
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace armstice::simmpi {
@@ -24,42 +28,22 @@ class ProgramSet {
 public:
     explicit ProgramSet(int ranks);
 
-    [[nodiscard]] int ranks() const { return nranks_; }
-    /// True while every rank still shares the single prototype program. The
+    [[nodiscard]] int ranks() const { return static_cast<int>(class_of_.size()); }
+    /// True while every rank is in one class, i.e. runs one program. The
     /// engine's rank-equivalence collapse (DESIGN.md §11) keys classes on
     /// shared program identity, so a still-SPMD set collapses to one class
     /// per ExecContext class; bench_engine asserts the scale skeletons stay
     /// SPMD all the way into take_bundle().
-    [[nodiscard]] bool spmd() const { return !forked_; }
-    /// Mutable access to one rank's program; forks the shared prototype.
-    [[nodiscard]] sim::Program& at(int rank);
+    [[nodiscard]] bool spmd() const { return classes_.size() == 1; }
 
     /// SPMD: every rank executes `phase`.
     ProgramSet& compute(const arch::ComputePhase& phase);
-    /// SPMD: rank-dependent phases (callable rank -> ComputePhase, which must
-    /// be pure — it may be invoked more than once per rank). When every
-    /// rank's phase comes out identical (cost inputs and label) the op is
-    /// emitted through the shared prototype instead of forking, so uniform
-    /// "per-rank" work keeps the structural sharing that feeds ProgramBundle
-    /// dedup and the engine's rank-equivalence collapse. The built programs
-    /// are identical either way.
-    template <typename F>
-    ProgramSet& compute_by_rank(F&& make_phase) {
-        if (!forked_) {
-            arch::ComputePhase first = make_phase(0);
-            bool uniform = true;
-            for (int r = 1; r < ranks() && uniform; ++r) {
-                const arch::ComputePhase p = make_phase(r);
-                uniform = arch::same_cost_inputs(first, p) && p.label == first.label;
-            }
-            if (uniform) {
-                proto_.compute(first);
-                return *this;
-            }
-        }
-        for (int r = 0; r < ranks(); ++r) at(r).compute(make_phase(r));
-        return *this;
-    }
+    /// Rank-dependent phases: `make_phase(r)` is called exactly once per
+    /// rank, in rank order. Ranks of one class whose phases are equal (cost
+    /// inputs and label) keep sharing a program; a class splits only when its
+    /// members' phases differ, so uniform "per-rank" work stays SPMD.
+    ProgramSet& compute_by_rank(
+        const std::function<arch::ComputePhase(int)>& make_phase);
     ProgramSet& allreduce(double bytes = 8);
     ProgramSet& barrier();
     ProgramSet& alltoall(double bytes_each);
@@ -81,22 +65,18 @@ public:
                               double bytes_per_neighbor, int tag = 0);
 
     /// Move the built programs out as a full per-rank vector (ProgramSet is
-    /// then empty). Materialises rank copies of the shared prototype.
+    /// then empty): one copy of its class's program per rank.
     [[nodiscard]] std::vector<sim::Program> take();
 
-    /// Move the built programs out with structural sharing intact: a
-    /// never-forked (pure SPMD) set yields one shared program; a forked set
-    /// is deduplicated by structural hash + equality (ProgramSet is then
-    /// empty). Engine results are bit-identical to the take() path.
+    /// Move the built programs out with structural sharing intact: one
+    /// program per class, numbered by first appearance in rank order
+    /// (ProgramSet is then empty). Engine results are bit-identical to the
+    /// take() path.
     [[nodiscard]] sim::ProgramBundle take_bundle();
 
 private:
-    void fork();  ///< materialise per-rank copies of the prototype
-
-    int nranks_ = 0;
-    sim::Program proto_;  ///< shared SPMD prefix while !forked_
-    std::vector<sim::Program> programs_;  ///< per-rank programs once forked_
-    bool forked_ = false;
+    std::vector<sim::Program> classes_;    ///< one program per class of ranks
+    std::vector<std::uint32_t> class_of_;  ///< rank -> index into classes_
 };
 
 /// Split n items over p parts as evenly as possible; part i gets

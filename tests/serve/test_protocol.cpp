@@ -328,3 +328,12 @@ TEST(ServeProtocol, OversizedPayloadIsTyped) {
     as::Message out;
     EXPECT_EQ(as::decode_message(big, out), as::DecodeStatus::kOversized);
 }
+
+TEST(ServeProtocol, LargestPointPayloadFillsExactlyOneFrame) {
+    as::Message m;
+    m.req_id = 7;
+    as::PointResult pr;
+    pr.payload.assign(as::kMaxPointPayload, 'x');
+    m.body = pr;
+    EXPECT_EQ(as::encode_message(m).size(), as::kMaxFrame);
+}

@@ -139,8 +139,6 @@ TEST(ProgramSet, HaloSizesMustMatchRanks) {
 }
 
 TEST(ProgramSet, BadRankAccessThrows) {
-    am::ProgramSet ps(2);
-    EXPECT_THROW(ps.at(2), armstice::util::Error);
     EXPECT_THROW(am::ProgramSet(0), armstice::util::Error);
 }
 
