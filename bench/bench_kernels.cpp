@@ -1,7 +1,8 @@
 // Kernel throughput bench — measures the real kernels behind the reference
 // applications through the threaded execution layer (kern::par), serial
 // (--jobs 1) vs threaded (kThreadedJobs), at paper-relevant sizes: an
-// HPCG-class 27-point operator in CSR and SELL-8-64, CG on the same
+// HPCG-class 27-point operator in CSR and SELL-8-64, the cache-blocked GEMM
+// (also checked bit-for-bit against gemm_naive) and ZGEMM, CG on the same
 // operator, a 64^3 compressible Taylor-Green RK3 step (OpenSBLI), the
 // Nekbone spectral operator at polynomial order 15, and HPCG-vector-length
 // BLAS-1. For every scenario the serial and threaded outputs are compared
@@ -121,15 +122,14 @@ std::vector<double> random_vector(std::size_t n, unsigned long seed) {
 }
 
 void write_json(const std::vector<Scenario>& scenarios, bool all_identical,
-                bool blocked_identical) {
+                bool gemm_identical) {
     std::string j = "{\n  \"bench\": \"kernels\",\n  \"unit\": \"flops/sec\",\n";
     j += format("  \"threaded_jobs\": %d,\n", kThreadedJobs);
     j += format("  \"host_cpus\": %ld,\n", sysconf(_SC_NPROCESSORS_ONLN));
     j += "  \"note\": \"speedup is wall-clock serial/threaded; it is bounded by "
          "host_cpus, so a 1-CPU container reports ~1x while the bit_identical "
          "flags still verify the deterministic scheme\",\n";
-    j += format("  \"blocked_matches_unblocked\": %s,\n",
-                blocked_identical ? "true" : "false");
+    j += format("  \"gemm_matches_naive\": %s,\n", gemm_identical ? "true" : "false");
     j += format("  \"all_bit_identical\": %s,\n  \"scenarios\": [\n",
                 all_identical ? "true" : "false");
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
@@ -154,8 +154,8 @@ void write_json(const std::vector<Scenario>& scenarios, bool all_identical,
 
 int main(int argc, char** argv) {
     // --smoke: the CI gate. Shrunken sizes, best-of-2, no JSON rewrite —
-    // but every bit-identity assertion (jobs 1 vs 8, blocked vs unblocked)
-    // still runs and still fails the process on a mismatch.
+    // but every bit-identity assertion (jobs 1 vs 8, blocked GEMM vs
+    // gemm_naive) still runs and still fails the process on a mismatch.
     const bool smoke =
         argc > 1 && std::string(argv[1]) == "--smoke";
     if (smoke) g_reps = 2;
@@ -169,28 +169,11 @@ int main(int argc, char** argv) {
                 smoke ? " (--smoke)" : "", kThreadedJobs, g_reps,
                 sysconf(_SC_NPROCESSORS_ONLN));
     std::vector<Scenario> scenarios;
-    bool blocked_identical = true;
+    bool gemm_identical = true;
 
-    /// Compare a blocked kernel's output with its unblocked reference
-    /// (computed at kThreadedJobs) bit-for-bit; a mismatch fails the bench.
-    const auto check_pair = [&](const std::string& what,
-                                const std::function<void(std::vector<double>&)>& blocked,
-                                const std::function<void(std::vector<double>&)>& unblocked) {
-        par::set_jobs(kThreadedJobs);
-        std::vector<double> b, u;
-        blocked(b);
-        unblocked(u);
-        par::set_jobs(0);
-        const bool ok = b == u;
-        blocked_identical = blocked_identical && ok;
-        std::printf("  %-28s blocked vs unblocked: %s\n", what.c_str(),
-                    ok ? "bit-identical" : "OUTPUTS DIFFER");
-    };
-
-    // HPCG-class 27-point operator — column-tiled CSR SpMV vs the unblocked
-    // reference row loop. 64^3 local grid (the paper's per-process class
-    // scaled to fit a CI container; the 104^3 node problem has the same
-    // >LLC working set per core at 8 jobs).
+    // HPCG-class 27-point operator in CSR and SELL-8-64. 64^3 local grid
+    // (the paper's per-process class scaled to fit a CI container; the
+    // 104^3 node problem has the same >LLC working set per core at 8 jobs).
     {
         const auto csr = ak::poisson27(grid, grid, grid);
         const auto x = random_vector(static_cast<std::size_t>(csr.rows()), 1);
@@ -200,20 +183,6 @@ int main(int argc, char** argv) {
                 y.resize(x.size());
                 csr.spmv(x, y);
             }));
-        scenarios.push_back(measure(
-            "spmv_csr_unblk", sz, csr.spmv_flops(), [&](std::vector<double>& y) {
-                y.resize(x.size());
-                csr.spmv_unblocked(x, y);
-            }));
-        check_pair("spmv_csr " + sz,
-                   [&](std::vector<double>& y) {
-                       y.resize(x.size());
-                       csr.spmv(x, y);
-                   },
-                   [&](std::vector<double>& y) {
-                       y.resize(x.size());
-                       csr.spmv_unblocked(x, y);
-                   });
 
         const ak::SellMatrix sell(csr, 8, 64);
         scenarios.push_back(measure(
@@ -223,32 +192,36 @@ int main(int argc, char** argv) {
             }));
     }
 
-    // Dense blocked kernels vs their naive references (gemm kBlock = 64,
-    // zgemm kZBlock = 48; gemm_n does not divide either).
+    // Dense kernels: the cache-blocked GEMM (kBlock = 64; gemm_n does not
+    // divide it) against its naive reference, and the row-parallel ZGEMM.
     {
         const int m = gemm_n;
         const auto a = random_vector(static_cast<std::size_t>(m) * m, 6);
         const auto b = random_vector(static_cast<std::size_t>(m) * m, 7);
         const std::string sz = format("%dx%dx%d", m, m, m);
-        scenarios.push_back(measure("gemm_blk", sz, ak::gemm_flops(m, m, m),
-                                    [&](std::vector<double>& c) {
-                                        c.assign(static_cast<std::size_t>(m) * m, 0.0);
-                                        ak::gemm(a, b, c, m, m, m);
-                                    }));
-        scenarios.push_back(measure("gemm_naive", sz, ak::gemm_flops(m, m, m),
-                                    [&](std::vector<double>& c) {
-                                        c.assign(static_cast<std::size_t>(m) * m, 0.0);
-                                        ak::gemm_naive(a, b, c, m, m, m);
-                                    }));
-        check_pair("gemm " + sz,
-                   [&](std::vector<double>& c) {
-                       c.assign(static_cast<std::size_t>(m) * m, 0.0);
-                       ak::gemm(a, b, c, m, m, m);
-                   },
-                   [&](std::vector<double>& c) {
-                       c.assign(static_cast<std::size_t>(m) * m, 0.0);
-                       ak::gemm_naive(a, b, c, m, m, m);
-                   });
+        const auto run_gemm = [&](std::vector<double>& c) {
+            c.assign(static_cast<std::size_t>(m) * m, 0.0);
+            ak::gemm(a, b, c, m, m, m);
+        };
+        const auto run_gemm_naive = [&](std::vector<double>& c) {
+            c.assign(static_cast<std::size_t>(m) * m, 0.0);
+            ak::gemm_naive(a, b, c, m, m, m);
+        };
+        scenarios.push_back(measure("gemm_blk", sz, ak::gemm_flops(m, m, m), run_gemm));
+        scenarios.push_back(
+            measure("gemm_naive", sz, ak::gemm_flops(m, m, m), run_gemm_naive));
+        // Blocked vs naive bit-for-bit at kThreadedJobs; a mismatch fails
+        // the bench.
+        {
+            par::set_jobs(kThreadedJobs);
+            std::vector<double> blocked, naive;
+            run_gemm(blocked);
+            run_gemm_naive(naive);
+            par::set_jobs(0);
+            gemm_identical = blocked == naive;
+            std::printf("  %-28s blocked vs naive: %s\n", ("gemm " + sz).c_str(),
+                        gemm_identical ? "bit-identical" : "OUTPUTS DIFFER");
+        }
 
         const int zm = m / 2;
         std::vector<ak::cplx> za(static_cast<std::size_t>(zm) * zm),
@@ -258,42 +231,18 @@ int main(int argc, char** argv) {
             for (auto& v : za) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
             for (auto& v : zb) v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
         }
-        const auto flatten = [zm](const std::vector<ak::cplx>& zc,
-                                  std::vector<double>& out) {
-            out.clear();
-            out.reserve(2 * zc.size());
-            for (const auto& v : zc) {
-                out.push_back(v.real());
-                out.push_back(v.imag());
-            }
-            (void)zm;
-        };
-        const std::string zsz = format("%dx%dx%d", zm, zm, zm);
         scenarios.push_back(
-            measure("zgemm_blk", zsz, ak::zgemm_flops(zm, zm, zm),
+            measure("zgemm", format("%dx%dx%d", zm, zm, zm), ak::zgemm_flops(zm, zm, zm),
                     [&](std::vector<double>& out) {
                         std::vector<ak::cplx> zc(static_cast<std::size_t>(zm) * zm);
                         ak::zgemm(za, zb, zc, zm, zm, zm);
-                        flatten(zc, out);
+                        out.clear();
+                        out.reserve(2 * zc.size());
+                        for (const auto& v : zc) {
+                            out.push_back(v.real());
+                            out.push_back(v.imag());
+                        }
                     }));
-        scenarios.push_back(
-            measure("zgemm_naive", zsz, ak::zgemm_flops(zm, zm, zm),
-                    [&](std::vector<double>& out) {
-                        std::vector<ak::cplx> zc(static_cast<std::size_t>(zm) * zm);
-                        ak::zgemm_naive(za, zb, zc, zm, zm, zm);
-                        flatten(zc, out);
-                    }));
-        check_pair("zgemm " + zsz,
-                   [&](std::vector<double>& out) {
-                       std::vector<ak::cplx> zc(static_cast<std::size_t>(zm) * zm);
-                       ak::zgemm(za, zb, zc, zm, zm, zm);
-                       flatten(zc, out);
-                   },
-                   [&](std::vector<double>& out) {
-                       std::vector<ak::cplx> zc(static_cast<std::size_t>(zm) * zm);
-                       ak::zgemm_naive(za, zb, zc, zm, zm, zm);
-                       flatten(zc, out);
-                   });
     }
 
     // CG on the 27-point operator: 25 iterations, Jacobi-preconditioned; the
@@ -316,29 +265,18 @@ int main(int argc, char** argv) {
     }
 
     // OpenSBLI Taylor-Green vortex, one RK3 step from the analytic initial
-    // condition (state + diagnostics form the compared output): the j-tiled
-    // sweep (default tile) timed against the unblocked full-extent sweep.
+    // condition (state + diagnostics form the compared output).
     {
         const double n3 = static_cast<double>(grid) * grid * grid;
         const double ops = ak::TaylorGreen::step_flops_per_point() * n3;
-        const std::string sz = format("%d^3", grid);
-        const auto run_tgv = [&](int tile_j, std::vector<double>& out) {
-            ak::TaylorGreen tgv(grid, 0.1, 0.0, tile_j);
-            tgv.step(1e-3);
-            out = tgv.state();
-            out.push_back(tgv.kinetic_energy());
-            out.push_back(tgv.max_speed());
-        };
-        scenarios.push_back(measure("tgv_step", sz, ops, [&](std::vector<double>& out) {
-            run_tgv(ak::TaylorGreen::kDefaultTileJ, out);
-        }));
         scenarios.push_back(
-            measure("tgv_step_unblk", sz, ops,
-                    [&](std::vector<double>& out) { run_tgv(0, out); }));
-        check_pair(
-            "tgv_step " + sz,
-            [&](std::vector<double>& out) { run_tgv(ak::TaylorGreen::kDefaultTileJ, out); },
-            [&](std::vector<double>& out) { run_tgv(0, out); });
+            measure("tgv_step", format("%d^3", grid), ops, [&](std::vector<double>& out) {
+                ak::TaylorGreen tgv(grid);
+                tgv.step(1e-3);
+                out = tgv.state();
+                out.push_back(tgv.kinetic_energy());
+                out.push_back(tgv.max_speed());
+            }));
     }
 
     // Nekbone spectral operator, polynomial order 15 (nx1=16), 64 elements.
@@ -373,15 +311,13 @@ int main(int argc, char** argv) {
         scenarios.begin(), scenarios.end(), [](const Scenario& s) { return s.bit_identical; });
     if (smoke) {
         // The smoke gate asserts, it does not publish numbers.
-        std::printf("smoke: all_bit_identical=%s blocked_matches_unblocked=%s\n",
-                    all_identical ? "true" : "false",
-                    blocked_identical ? "true" : "false");
+        std::printf("smoke: all_bit_identical=%s gemm_matches_naive=%s\n",
+                    all_identical ? "true" : "false", gemm_identical ? "true" : "false");
     } else {
-        write_json(scenarios, all_identical, blocked_identical);
+        write_json(scenarios, all_identical, gemm_identical);
         std::printf("wrote BENCH_kernels.json (all_bit_identical=%s, "
-                    "blocked_matches_unblocked=%s)\n",
-                    all_identical ? "true" : "false",
-                    blocked_identical ? "true" : "false");
+                    "gemm_matches_naive=%s)\n",
+                    all_identical ? "true" : "false", gemm_identical ? "true" : "false");
     }
-    return all_identical && blocked_identical ? 0 : 1;
+    return all_identical && gemm_identical ? 0 : 1;
 }

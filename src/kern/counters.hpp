@@ -5,21 +5,12 @@
 // analytic counts the application skeletons feed the simulator
 // (DESIGN.md §1, "Counted exactly").
 
-#include <algorithm>
-
 namespace armstice::kern {
 
 struct OpCounts {
     double flops = 0;
     double bytes_read = 0;
     double bytes_written = 0;
-    /// Peak bytes resident while the kernel runs — the working-set input of
-    /// the ECM memory-hierarchy model (arch/ecm.hpp). Zero (the default)
-    /// means "no reuse information": phases built from such counts keep the
-    /// v3 streaming-from-memory pricing bit-exactly, so kernels that do not
-    /// report a working set never change model output
-    /// (tests/arch/test_ecm_model.cpp pins this).
-    double ws_bytes = 0;
 
     [[nodiscard]] double bytes() const { return bytes_read + bytes_written; }
 
@@ -27,9 +18,6 @@ struct OpCounts {
         flops += o.flops;
         bytes_read += o.bytes_read;
         bytes_written += o.bytes_written;
-        // Working sets do not add across sequentially executed kernels; the
-        // peak footprint is the max of the phases' footprints.
-        ws_bytes = std::max(ws_bytes, o.ws_bytes);
         return *this;
     }
 };

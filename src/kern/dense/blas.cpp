@@ -11,10 +11,6 @@ namespace {
 /// Block edge for the cache-blocked GEMM: 64x64 doubles = 32 KiB per tile,
 /// three tiles fit comfortably in a 256 KiB L2.
 constexpr int kBlock = 64;
-/// Block edge for the cache-blocked ZGEMM: 48x48 complex doubles = 36 KiB
-/// per tile; three tiles (~108 KiB) fit both an x86 256 KiB private L2 and a
-/// core's share of the A64FX 8 MiB CMG L2 (DESIGN.md §12).
-constexpr int kZBlock = 48;
 } // namespace
 
 void axpy(double a, std::span<const double> x, std::span<double> y, OpCounts* counts) {
@@ -73,12 +69,13 @@ void gemv(std::span<const double> a, int m, int n, std::span<const double> x,
     ARMSTICE_CHECK(x.size() == static_cast<std::size_t>(n), "gemv x size mismatch");
     ARMSTICE_CHECK(y.size() == static_cast<std::size_t>(m), "gemv y size mismatch");
     // Row-parallel; each y[i] is one serially accumulated row dot product.
+    // data() pointer arithmetic: &a[...] would bind into an empty A at n == 0.
     par::parallel_for(
         m,
         [&](par::Range rows) {
             for (long i = rows.begin; i < rows.end; ++i) {
                 double sum = 0.0;
-                const double* row = &a[static_cast<std::size_t>(i) * n];
+                const double* row = a.data() + static_cast<std::size_t>(i) * n;
                 for (int j = 0; j < n; ++j) sum += row[j] * x[static_cast<std::size_t>(j)];
                 y[static_cast<std::size_t>(i)] = sum;
             }
@@ -127,12 +124,6 @@ void gemm(std::span<const double> a, std::span<const double> b, std::span<double
         counts->flops += gemm_flops(m, k, n);
         counts->bytes_read += 8.0 * (static_cast<double>(m) * k + static_cast<double>(k) * n);
         counts->bytes_written += 8.0 * static_cast<double>(m) * n;
-        counts->ws_bytes = std::max(
-            counts->ws_bytes,
-            std::min(3.0 * kBlock * kBlock,
-                     static_cast<double>(m) * k + static_cast<double>(k) * n +
-                         static_cast<double>(m) * n) *
-                8.0);
     }
 }
 
@@ -142,44 +133,29 @@ void zgemm(std::span<const cplx> a, std::span<const cplx> b, std::span<cplx> c,
     ARMSTICE_CHECK(b.size() == static_cast<std::size_t>(k) * n, "zgemm B size mismatch");
     ARMSTICE_CHECK(c.size() == static_cast<std::size_t>(m) * n, "zgemm C size mismatch");
     std::fill(c.begin(), c.end(), cplx{0.0, 0.0});
-    // Blocked like gemm(): kZBlock-aligned row stripes, p0/j0 tile loops
-    // inside. Each c[i][j] still receives its k additions in ascending-p
-    // order (p0 blocks ascend, p ascends within a block), so the result is
-    // bit-identical to the unblocked row loop — zgemm_naive() — at any jobs.
+    // Row-parallel: each C row belongs to one task and receives its k
+    // updates in ascending-p order, so the result is bit-identical to
+    // zgemm_naive() at any jobs. Pointer arithmetic via data() for the
+    // degenerate (k or n == 0) shapes, as in zgemm_naive().
     par::parallel_for(
         m,
         [&](par::Range rows) {
-            for (long i0 = rows.begin; i0 < rows.end; i0 += kZBlock) {
-                const long i1 = std::min<long>(rows.end, i0 + kZBlock);
-                for (int p0 = 0; p0 < k; p0 += kZBlock) {
-                    const int p1 = std::min(k, p0 + kZBlock);
-                    for (int j0 = 0; j0 < n; j0 += kZBlock) {
-                        const int j1 = std::min(n, j0 + kZBlock);
-                        for (long i = i0; i < i1; ++i) {
-                            cplx* crow = &c[static_cast<std::size_t>(i) * n];
-                            const cplx* arow = &a[static_cast<std::size_t>(i) * k];
-                            for (int p = p0; p < p1; ++p) {
-                                const cplx aip = arow[p];
-                                const cplx* brow = &b[static_cast<std::size_t>(p) * n];
-                                for (int j = j0; j < j1; ++j) crow[j] += aip * brow[j];
-                            }
-                        }
-                    }
+            for (long i = rows.begin; i < rows.end; ++i) {
+                cplx* crow = c.data() + static_cast<std::size_t>(i) * n;
+                const cplx* arow = a.data() + static_cast<std::size_t>(i) * k;
+                for (int p = 0; p < k; ++p) {
+                    const cplx aip = arow[p];
+                    const cplx* brow = b.data() + static_cast<std::size_t>(p) * n;
+                    for (int j = 0; j < n; ++j) crow[j] += aip * brow[j];
                 }
             }
         },
-        /*align=*/kZBlock, /*grain=*/kZBlock);
+        /*align=*/1, /*grain=*/8);
     if (counts) {
         counts->flops += zgemm_flops(m, k, n);
         counts->bytes_read +=
             16.0 * (static_cast<double>(m) * k + static_cast<double>(k) * n);
         counts->bytes_written += 16.0 * static_cast<double>(m) * n;
-        counts->ws_bytes = std::max(
-            counts->ws_bytes,
-            std::min(3.0 * kZBlock * kZBlock,
-                     static_cast<double>(m) * k + static_cast<double>(k) * n +
-                         static_cast<double>(m) * n) *
-                16.0);
     }
 }
 

@@ -39,7 +39,7 @@ void gemv(std::span<const double> a, int m, int n, std::span<const double> x,
 void gemm(std::span<const double> a, std::span<const double> b, std::span<double> c,
           int m, int k, int n, double beta = 0.0, OpCounts* counts = nullptr);
 
-/// Complex GEMM (CASTEP's subspace operations are ZGEMMs), cache-blocked;
+/// Complex GEMM (CASTEP's subspace operations are ZGEMMs);
 /// bit-identical to zgemm_naive() at every par::jobs() value.
 void zgemm(std::span<const cplx> a, std::span<const cplx> b, std::span<cplx> c,
            int m, int k, int n, OpCounts* counts = nullptr);
@@ -48,8 +48,8 @@ void zgemm(std::span<const cplx> a, std::span<const cplx> b, std::span<cplx> c,
 void gemm_naive(std::span<const double> a, std::span<const double> b,
                 std::span<double> c, int m, int k, int n);
 
-/// Reference (unblocked serial) complex GEMM used by tests and bench_kernels
-/// to validate zgemm()'s cache blocking.
+/// Reference (serial) complex GEMM used by tests to validate zgemm()'s
+/// row partitioning.
 void zgemm_naive(std::span<const cplx> a, std::span<const cplx> b,
                  std::span<cplx> c, int m, int k, int n);
 

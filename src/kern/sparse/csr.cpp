@@ -49,63 +49,8 @@ CsrMatrix::CsrMatrix(long rows, long cols, std::vector<Triplet> entries)
     }
 }
 
-namespace {
-/// SpMV cache-blocking tiles (DESIGN.md §12). The column tile bounds the
-/// slice of x a core gathers from at any moment: 64 Ki doubles = 512 KiB,
-/// inside a core's share of the A64FX 8 MiB CMG L2. The row tile bounds the
-/// cursor array kept on the stack.
-constexpr long kSpmvColTile = 64 * 1024;
-constexpr int kSpmvRowTile = 256;
-} // namespace
-
 void CsrMatrix::spmv(std::span<const double> x, std::span<double> y,
                      OpCounts* counts) const {
-    ARMSTICE_CHECK(x.size() == static_cast<std::size_t>(cols_), "spmv x size");
-    ARMSTICE_CHECK(y.size() == static_cast<std::size_t>(rows_), "spmv y size");
-    // Row-block parallel with column tiling inside each task. Rows are
-    // stored column-sorted (the constructor sorts by (row, col)), so walking
-    // the column tiles in ascending order with one cursor per row adds each
-    // row's products in exactly the ascending-k order of the unblocked loop
-    // (spmv_unblocked); the partial sum parked in y[i] between tiles is a
-    // double round-tripped through a double — exact. Bit-identical at any
-    // jobs value.
-    par::parallel_for(rows_, [&](par::Range rows) {
-        long cursor[kSpmvRowTile];
-        for (long r0 = rows.begin; r0 < rows.end; r0 += kSpmvRowTile) {
-            const long r1 = std::min<long>(rows.end, r0 + kSpmvRowTile);
-            for (long i = r0; i < r1; ++i) {
-                y[static_cast<std::size_t>(i)] = 0.0;
-                cursor[i - r0] = row_ptr_[static_cast<std::size_t>(i)];
-            }
-            for (long c0 = 0; c0 < cols_; c0 += kSpmvColTile) {
-                const long c1 = std::min<long>(cols_, c0 + kSpmvColTile);
-                for (long i = r0; i < r1; ++i) {
-                    long k = cursor[i - r0];
-                    const long kend = row_ptr_[static_cast<std::size_t>(i) + 1];
-                    double sum = y[static_cast<std::size_t>(i)];
-                    while (k < kend && col_idx_[static_cast<std::size_t>(k)] < c1) {
-                        sum += vals_[static_cast<std::size_t>(k)] *
-                               x[static_cast<std::size_t>(
-                                   col_idx_[static_cast<std::size_t>(k)])];
-                        ++k;
-                    }
-                    y[static_cast<std::size_t>(i)] = sum;
-                    cursor[i - r0] = k;
-                }
-            }
-        }
-    });
-    if (counts) {
-        add_spmv_counts(counts);
-        counts->ws_bytes =
-            std::max(counts->ws_bytes,
-                     8.0 * static_cast<double>(std::min(cols_, kSpmvColTile)) +
-                         16.0 * std::min<long>(rows_, kSpmvRowTile));
-    }
-}
-
-void CsrMatrix::spmv_unblocked(std::span<const double> x, std::span<double> y,
-                               OpCounts* counts) const {
     ARMSTICE_CHECK(x.size() == static_cast<std::size_t>(cols_), "spmv x size");
     ARMSTICE_CHECK(y.size() == static_cast<std::size_t>(rows_), "spmv y size");
     // Row-block parallel: each row's dot product is accumulated serially in

@@ -30,17 +30,11 @@ public:
     [[nodiscard]] std::span<const int> col_idx() const { return col_idx_; }
     [[nodiscard]] std::span<const double> vals() const { return vals_; }
 
-    /// y = A*x, column-tiled for cache (DESIGN.md §12). Exact counts:
-    /// 2*nnz flops; matrix traffic 12 B/nnz (8 B value + 4 B column index) +
-    /// row pointers + vector traffic. Bit-identical to spmv_unblocked() at
-    /// every par::jobs() value.
+    /// y = A*x. Exact counts: 2*nnz flops; matrix traffic 12 B/nnz (8 B
+    /// value + 4 B column index) + row pointers + vector traffic.
+    /// Bit-identical at every par::jobs() value.
     void spmv(std::span<const double> x, std::span<double> y,
               OpCounts* counts = nullptr) const;
-
-    /// Reference unblocked y = A*x (the pre-blocking row loop), kept for the
-    /// conformance tests and bench_kernels' in-bench identity check.
-    void spmv_unblocked(std::span<const double> x, std::span<double> y,
-                        OpCounts* counts = nullptr) const;
 
     /// Diagonal entry of each row (zero when absent).
     [[nodiscard]] std::vector<double> diagonal() const;

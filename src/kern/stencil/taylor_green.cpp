@@ -12,12 +12,11 @@ namespace {
 constexpr double kPi = std::numbers::pi;
 } // namespace
 
-TaylorGreen::TaylorGreen(int n, double mach, double viscosity, int tile_j)
-    : n_(n), h_(2.0 * kPi / n), tile_j_(tile_j > 0 ? tile_j : n), nu_(viscosity) {
+TaylorGreen::TaylorGreen(int n, double mach, double viscosity)
+    : n_(n), h_(2.0 * kPi / n), nu_(viscosity) {
     ARMSTICE_CHECK(n >= 8, "TaylorGreen grid too small (need >=8 for the stencil)");
     ARMSTICE_CHECK(mach > 0.0 && mach < 0.5, "TaylorGreen expects subsonic Mach");
     ARMSTICE_CHECK(viscosity >= 0.0, "negative viscosity");
-    ARMSTICE_CHECK(tile_j >= 0, "negative stencil tile");
     const std::size_t nn = static_cast<std::size_t>(n) * n * n;
     u_.assign(static_cast<std::size_t>(kVars) * nn, 0.0);
 
@@ -101,18 +100,13 @@ void TaylorGreen::rhs(const std::vector<double>& u, std::vector<double>& out,
 
     // The dir loop stays serial (every point accumulates its three
     // directional contributions in dir order); within a direction the
-    // k-planes write disjoint points, so they partition freely, and the j
-    // loop is tiled for cache (tile_j_) — pure reordering of disjoint point
-    // updates, so the tile size never changes a single bit of out.
-    const int tile_j = tile_j_;
+    // k-planes write disjoint points, so they partition freely.
     for (int dir = 0; dir < 3; ++dir) {
         par::parallel_for(
             n,
             [&](par::Range planes) {
                 for (long k = planes.begin; k < planes.end; ++k) {
-                    for (int j0 = 0; j0 < n; j0 += tile_j) {
-                    const int jend = std::min(n, j0 + tile_j);
-                    for (int j = j0; j < jend; ++j) {
+                    for (int j = 0; j < n; ++j) {
                         for (int i = 0; i < n; ++i) {
                             auto shift = [&](int off) {
                                 const int ii = dir == 0 ? wrap(i + off) : i;
@@ -133,7 +127,6 @@ void TaylorGreen::rhs(const std::vector<double>& u, std::vector<double>& out,
                             }
                         }
                     }
-                    }
                 }
             },
             /*align=*/1, /*grain=*/2);
@@ -153,9 +146,7 @@ void TaylorGreen::rhs(const std::vector<double>& u, std::vector<double>& out,
                 [&](par::Range planes) {
                     for (long kk = planes.begin; kk < planes.end; ++kk) {
                         const int k = static_cast<int>(kk);
-                        for (int j0 = 0; j0 < n; j0 += tile_j) {
-                        const int jend = std::min(n, j0 + tile_j);
-                        for (int j = j0; j < jend; ++j) {
+                        for (int j = 0; j < n; ++j) {
                             for (int i = 0; i < n; ++i) {
                                 const std::size_t p = idx(i, j, k);
                                 const double lap =
@@ -166,7 +157,6 @@ void TaylorGreen::rhs(const std::vector<double>& u, std::vector<double>& out,
                                     inv_h2;
                                 ov[p] += nu_ * lap;
                             }
-                        }
                         }
                     }
                 },
@@ -185,11 +175,6 @@ void TaylorGreen::rhs(const std::vector<double>& u, std::vector<double>& out,
         counts->flops += 348.0 * static_cast<double>(nn);
         counts->bytes_read += 3.0 * 4.0 * kVars * 8.0 * static_cast<double>(nn);
         counts->bytes_written += 3.0 * kVars * 8.0 * static_cast<double>(nn);
-        // One j-tile of all conservative variables plus the 4-row stencil
-        // halo is what a sweep keeps hot.
-        counts->ws_bytes =
-            std::max(counts->ws_bytes,
-                     8.0 * kVars * n * (std::min(tile_j_, n) + 4.0));
     }
 }
 

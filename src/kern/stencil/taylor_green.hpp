@@ -12,21 +12,11 @@ namespace armstice::kern {
 
 class TaylorGreen {
 public:
-    /// Default j-tile of the RHS sweeps: 16 rows x 4*kVars flux operands of
-    /// n doubles stay inside a core's share of the A64FX CMG L2 up to the
-    /// grids the OpenSBLI skeleton uses (DESIGN.md §12).
-    static constexpr int kDefaultTileJ = 16;
-
     /// Periodic n^3 grid, reference Mach number (the classic case is 0.1),
     /// optional kinematic viscosity (0 = inviscid Euler; > 0 adds a
     /// second-order momentum-diffusion term, the low-Mach Navier-Stokes
     /// regularisation OpenSBLI's compressible solver carries).
-    /// tile_j blocks the j loop of every stencil sweep; 0 runs the unblocked
-    /// reference sweep (full j extent). Any tile gives bit-identical state:
-    /// stencil writes are disjoint per point and each point's directional
-    /// contributions keep their serial dir order.
-    explicit TaylorGreen(int n, double mach = 0.1, double viscosity = 0.0,
-                         int tile_j = kDefaultTileJ);
+    explicit TaylorGreen(int n, double mach = 0.1, double viscosity = 0.0);
 
     /// One SSP-RK3 step. dt must satisfy the advective CFL (see stable_dt()).
     void step(double dt, OpCounts* counts = nullptr);
@@ -56,7 +46,6 @@ private:
 
     int n_;
     double h_;      ///< grid spacing 2*pi/n
-    int tile_j_;    ///< j-block of the stencil sweeps (0 = full extent)
     double gamma_ = 1.4;
     double nu_ = 0.0;  ///< kinematic viscosity
     std::vector<double> u_;  ///< kVars * n^3, variable-major

@@ -79,7 +79,8 @@ T take_int(std::map<std::string, std::string>& kv, const std::string& key,
 }
 
 /// Parse `key` as a finite double >= 0 (inf, nan and out-of-range
-/// literals are rejected).
+/// literals are rejected). -0 folds to +0, so both spellings of zero share
+/// one canonical key.
 double take_double(std::map<std::string, std::string>& kv, const std::string& key,
                    double fallback) {
     const auto it = kv.find(key);
@@ -97,7 +98,7 @@ double take_double(std::map<std::string, std::string>& kv, const std::string& ke
         throw util::Error("serve: config key '" + key +
                           "' must be a finite number >= 0");
     }
-    return v;
+    return v == 0.0 ? 0.0 : v;
 }
 
 void reject_leftovers(const std::map<std::string, std::string>& kv,
@@ -183,12 +184,15 @@ std::string canonical_cosa(const apps::CosaConfig& cfg) {
                         cfg.total_cells, cfg.harmonics, cfg.iterations);
 }
 
+/// Only COSA gives 0 ranks a meaning (a full node); minikab and nekbone
+/// points need at least one rank.
 void check_placement(const PointSpec& spec) {
-    if (spec.nodes < 1 || spec.ranks < 0 || spec.threads < 1) {
+    const int min_ranks = spec.app == "cosa" ? 0 : 1;
+    if (spec.nodes < 1 || spec.ranks < min_ranks || spec.threads < 1) {
         throw util::Error(util::format(
             "serve: bad placement n%d/r%d/t%d for app '%s' (nodes/threads >= 1, "
-            "ranks >= 0)",
-            spec.nodes, spec.ranks, spec.threads, spec.app.c_str()));
+            "ranks >= %d)",
+            spec.nodes, spec.ranks, spec.threads, spec.app.c_str(), min_ranks));
     }
 }
 

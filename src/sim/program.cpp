@@ -181,12 +181,4 @@ ProgramBundle ProgramBundle::classes(std::vector<Program> distinct,
     return b;
 }
 
-ProgramBundle ProgramBundle::shared(Program proto, int ranks) {
-    ARMSTICE_CHECK(ranks >= 1, "ProgramBundle::shared needs >=1 rank");
-    ProgramBundle b;
-    b.distinct_.push_back(std::move(proto));
-    b.index_.assign(static_cast<std::size_t>(ranks), 0);
-    return b;
-}
-
 } // namespace armstice::sim

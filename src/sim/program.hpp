@@ -203,10 +203,6 @@ public:
     /// then deep equality — hash collisions never merge unequal programs).
     static ProgramBundle from(std::vector<Program> programs);
 
-    /// Pure-SPMD fast path: every one of `ranks` ranks runs `proto`. O(1)
-    /// program storage, no hashing.
-    static ProgramBundle shared(Program proto, int ranks);
-
     /// Adopt programs that are already distinct, with rank r running
     /// `distinct[index[r]]` (simmpi::ProgramSet's class build). No hashing
     /// or comparison; throws util::Error on an index out of range.

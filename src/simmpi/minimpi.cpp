@@ -273,43 +273,27 @@ std::vector<std::vector<int>> cart_neighbors(const std::vector<int>& dims,
         ARMSTICE_CHECK(d >= 1, "bad cart dims");
         p *= d;
     }
-    const int nd = static_cast<int>(dims.size());
-    auto coords = [&](int rank) {
-        std::vector<int> c(static_cast<std::size_t>(nd));
-        for (int i = 0; i < nd; ++i) {
-            c[static_cast<std::size_t>(i)] = rank % dims[static_cast<std::size_t>(i)];
-            rank /= dims[static_cast<std::size_t>(i)];
-        }
-        return c;
-    };
-    auto rank_of = [&](const std::vector<int>& c) {
-        int rank = 0;
-        for (int i = nd - 1; i >= 0; --i) {
-            rank = rank * dims[static_cast<std::size_t>(i)] + c[static_cast<std::size_t>(i)];
-        }
-        return rank;
-    };
-
+    // Rank r has coordinate r / stride % d along a dim of extent d, where
+    // stride is the product of the lower dims; stepping that coordinate from
+    // c to w moves the rank by (w - c) * stride.
     std::vector<std::vector<int>> out(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
-        const auto c = coords(r);
-        for (int i = 0; i < nd; ++i) {
-            const int d = dims[static_cast<std::size_t>(i)];
-            if (d == 1) continue;
-            for (int dir : {-1, +1}) {
-                auto cc = c;
-                int v = cc[static_cast<std::size_t>(i)] + dir;
-                if (v < 0 || v >= d) {
-                    if (!periodic) continue;
-                    v = (v + d) % d;
+        auto& v = out[static_cast<std::size_t>(r)];
+        int stride = 1;
+        for (const int d : dims) {
+            const int c = r / stride % d;
+            if (d > 1) {
+                for (int w : {c - 1, c + 1}) {
+                    if (w < 0 || w >= d) {
+                        if (!periodic) continue;
+                        w = (w + d) % d;
+                    }
+                    v.push_back(r + (w - c) * stride);
                 }
-                cc[static_cast<std::size_t>(i)] = v;
-                const int nb = rank_of(cc);
-                if (nb != r) out[static_cast<std::size_t>(r)].push_back(nb);
             }
+            stride *= d;
         }
         // Periodic dims of size 2 produce the same neighbour twice; dedupe.
-        auto& v = out[static_cast<std::size_t>(r)];
         std::sort(v.begin(), v.end());
         v.erase(std::unique(v.begin(), v.end()), v.end());
     }

@@ -7,7 +7,6 @@
 #include "arch/cost_model.hpp"
 #include "arch/ecm.hpp"
 #include "arch/system.hpp"
-#include "kern/counters.hpp"
 #include "util/units.hpp"
 
 #include <gtest/gtest.h>
@@ -222,27 +221,10 @@ TEST(EcmModel, SerializedA64fxHierarchyIsSlowerUnderContention) {
     EXPECT_NEAR(a1.t_mem, b1.t_mem, b1.t_mem * 1e-12);
 }
 
-// --- OpCounts working-set plumbing (the latent bug class: kernels that do
-// --- not report a working set must keep v3 streaming pricing) -------------
-
-TEST(EcmModel, OpCountsWorkingSetDefaultsToZero) {
-    armstice::kern::OpCounts c;
-    EXPECT_EQ(c.ws_bytes, 0.0);
-    armstice::kern::OpCounts other;
-    other.ws_bytes = 4096.0;
-    c += other;
-    EXPECT_EQ(c.ws_bytes, 4096.0);  // peak footprint: max, not sum
-    armstice::kern::OpCounts smaller;
-    smaller.ws_bytes = 128.0;
-    c += smaller;
-    EXPECT_EQ(c.ws_bytes, 4096.0);
-}
-
 TEST(EcmModel, ZeroWorkingSetKeepsStreamingPricingBitExactly) {
-    // working_set = 0 (the OpCounts default) must price exactly like
-    // "assume streaming from memory" — i.e. like cache_model = false. A
-    // default that silently granted cache residence is the bug class this
-    // pins down.
+    // working_set = 0 must price exactly like "assume streaming from
+    // memory" — i.e. like cache_model = false. A default that silently
+    // granted cache residence is the bug class this pins down.
     aa::ModelKnobs no_cache;
     no_cache.cache_model = false;
     const aa::CostModel with_cache;

@@ -176,7 +176,8 @@ TEST(Collapse, SharedRingSplitsOnFirstSend) {
     // self-message), keeping the bundle shared; eager sends let the ranks
     // finish with the messages unconsumed.
     proto.send(0, 4096, /*tag=*/7);
-    const auto bundle = as::ProgramBundle::shared(proto, ranks);
+    const auto bundle =
+        as::ProgramBundle::classes({proto}, std::vector<std::uint32_t>(ranks, 0));
 
     const auto collapsed = eng.run(bundle);
     // The absolute-addressed send shatters the class into singletons, so the

@@ -125,7 +125,8 @@ TEST(ProgramBundle, DedupsStructurallyIdenticalPrograms) {
 TEST(ProgramBundle, SharedIsSingleProgram) {
     as::Program p;
     p.compute(phase("spmd", 10.0, 10.0)).barrier();
-    const auto bundle = as::ProgramBundle::shared(std::move(p), 48);
+    const auto bundle =
+        as::ProgramBundle::classes({std::move(p)}, std::vector<std::uint32_t>(48, 0));
     EXPECT_EQ(bundle.ranks(), 48);
     EXPECT_EQ(bundle.distinct(), 1);
     EXPECT_EQ(&bundle.of(0), &bundle.of(47));

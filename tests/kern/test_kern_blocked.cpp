@@ -1,16 +1,13 @@
-// Blocked-kernel conformance suite (DESIGN.md §12): the cache-blocked GEMM,
-// ZGEMM, SpMV and stencil sweeps must be bit-identical to their unblocked
-// references — EXPECT_EQ on every output double, on residual histories and
-// on OpCounts — at jobs 1 and jobs 8, on shapes that do not divide the tile
-// sizes, and at the n = 0 / n = 1 degenerate edges. Cache blocking is a
-// pure loop-order transformation here; any reassociation it introduced
-// would fail these as a bit mismatch, not a tolerance miss.
+// GEMM/ZGEMM conformance (DESIGN.md §12): the cache-blocked GEMM and the
+// row-partitioned ZGEMM must be bit-identical to their serial naive
+// references — EXPECT_EQ on every output double — at jobs 1 and jobs 8, on
+// shapes that do not divide the GEMM tile, and at the n = 0 / n = 1
+// degenerate edges. Cache blocking is a pure loop-order transformation
+// here; any reassociation it introduced would fail these as a bit
+// mismatch, not a tolerance miss.
 
 #include "kern/dense/blas.hpp"
 #include "kern/par.hpp"
-#include "kern/sparse/cg.hpp"
-#include "kern/sparse/csr.hpp"
-#include "kern/stencil/taylor_green.hpp"
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
@@ -42,17 +39,10 @@ protected:
     }
 };
 
-void expect_counts_eq(const ak::OpCounts& a, const ak::OpCounts& b) {
-    EXPECT_EQ(a.flops, b.flops);
-    EXPECT_EQ(a.bytes_read, b.bytes_read);
-    EXPECT_EQ(a.bytes_written, b.bytes_written);
-}
-
 } // namespace
 
-// Shapes straddle the tile sizes (gemm kBlock = 64, zgemm kZBlock = 48,
-// SpMV row tile 256) and include non-divisible remainders and degenerate
-// edges.
+// Shapes straddle the gemm tile (kBlock = 64) and include non-divisible
+// remainders and degenerate edges.
 INSTANTIATE_TEST_SUITE_P(Jobs, BlockedConformance, ::testing::Values(1, 8));
 
 TEST_P(BlockedConformance, GemmMatchesNaiveBitExactly) {
@@ -89,114 +79,4 @@ TEST_P(BlockedConformance, ZgemmMatchesNaiveBitExactly) {
             EXPECT_EQ(c[i].imag(), ref[i].imag()) << "m=" << m;
         }
     }
-}
-
-TEST_P(BlockedConformance, SpmvMatchesUnblockedBitExactly) {
-    par::set_jobs(GetParam());
-    // poisson27 exercises clustered columns; random_spd scatters them across
-    // the full column range, straddling many 64 Ki column tiles at n = 200k.
-    const std::vector<ak::CsrMatrix> mats = {
-        ak::poisson27(13, 9, 7), ak::poisson7(5, 5, 5),
-        ak::random_spd(200000, 3, 42), ak::random_spd(1, 0, 1),
-        ak::CsrMatrix(0, 0, {}), ak::CsrMatrix(3, 0, {}),
-        ak::CsrMatrix(4, 5, {{0, 4, 2.5}, {3, 0, -1.0}}),  // rows with no entries
-    };
-    for (const auto& A : mats) {
-        const auto x = random_vector(static_cast<std::size_t>(A.cols()), 23);
-        std::vector<double> y(static_cast<std::size_t>(A.rows()), -1.0);
-        std::vector<double> ref(y.size(), 2.0);
-        ak::OpCounts cb, cu;
-        A.spmv(x, y, &cb);
-        A.spmv_unblocked(x, ref, &cu);
-        for (std::size_t i = 0; i < y.size(); ++i) {
-            EXPECT_EQ(y[i], ref[i]) << "rows=" << A.rows() << " i=" << i;
-        }
-        expect_counts_eq(cb, cu);  // identical traffic model for both paths
-    }
-}
-
-TEST_P(BlockedConformance, CgResidualHistoryIdenticalThroughBlockedSpmv) {
-    // End-to-end: a CG solve routed through the blocked SpMV must walk the
-    // exact same residual history as one through the unblocked reference —
-    // the iteration count and every residual bit included.
-    par::set_jobs(GetParam());
-    const auto A = ak::random_spd(3000, 4, 7);
-    const auto b = random_vector(static_cast<std::size_t>(A.rows()), 29);
-
-    auto solve = [&](bool blocked) {
-        std::vector<double> x(static_cast<std::size_t>(A.rows()), 0.0);
-        std::vector<double> r = b, p = b, ap(b.size());
-        std::vector<double> hist;
-        double rr = ak::dot(r, r);
-        for (int it = 0; it < 50 && rr > 1e-20; ++it) {
-            if (blocked) {
-                A.spmv(p, ap);
-            } else {
-                A.spmv_unblocked(p, ap);
-            }
-            const double alpha = rr / ak::dot(p, ap);
-            ak::axpy(alpha, p, x);
-            ak::axpy(-alpha, ap, r);
-            const double rr_new = ak::dot(r, r);
-            hist.push_back(rr_new);
-            const double beta = rr_new / rr;
-            rr = rr_new;
-            for (std::size_t i = 0; i < p.size(); ++i) p[i] = r[i] + beta * p[i];
-        }
-        return std::pair{std::move(x), std::move(hist)};
-    };
-
-    const auto [x_blocked, h_blocked] = solve(true);
-    const auto [x_ref, h_ref] = solve(false);
-    ASSERT_EQ(h_blocked.size(), h_ref.size());
-    for (std::size_t i = 0; i < h_ref.size(); ++i) EXPECT_EQ(h_blocked[i], h_ref[i]);
-    for (std::size_t i = 0; i < x_ref.size(); ++i) EXPECT_EQ(x_blocked[i], x_ref[i]);
-}
-
-TEST_P(BlockedConformance, StencilTilingPreservesStateBitExactly) {
-    // Tiled (default 16, plus a deliberately awkward 5 that does not divide
-    // n = 12) vs unblocked (tile_j = 0) TaylorGreen: identical state after
-    // several RK3 steps, inviscid and viscous.
-    par::set_jobs(GetParam());
-    for (const double nu : {0.0, 1e-3}) {
-        for (const int tile : {ak::TaylorGreen::kDefaultTileJ, 5, 1}) {
-            ak::TaylorGreen blocked(12, 0.1, nu, tile);
-            ak::TaylorGreen reference(12, 0.1, nu, /*tile_j=*/0);
-            ak::OpCounts cb, cu;
-            for (int s = 0; s < 3; ++s) {
-                const double dt = reference.stable_dt();
-                blocked.step(dt, &cb);
-                reference.step(dt, &cu);
-            }
-            const auto& ub = blocked.state();
-            const auto& ur = reference.state();
-            ASSERT_EQ(ub.size(), ur.size());
-            for (std::size_t i = 0; i < ur.size(); ++i) {
-                EXPECT_EQ(ub[i], ur[i]) << "nu=" << nu << " tile=" << tile;
-            }
-            expect_counts_eq(cb, cu);
-        }
-    }
-}
-
-TEST_P(BlockedConformance, BlockedKernelsReportTileWorkingSets) {
-    // The ws_bytes channel (ECM model input): blocked kernels report their
-    // tile footprint, never more than the whole problem.
-    par::set_jobs(GetParam());
-    ak::OpCounts c;
-    const auto A = ak::poisson27(16, 16, 16);
-    const auto x = random_vector(static_cast<std::size_t>(A.cols()), 31);
-    std::vector<double> y(static_cast<std::size_t>(A.rows()));
-    A.spmv(x, y, &c);
-    EXPECT_GT(c.ws_bytes, 0.0);
-    EXPECT_LE(c.ws_bytes, 8.0 * (64.0 * 1024.0 + 2.0 * 256.0));
-
-    ak::OpCounts g;
-    const int m = 96;
-    const auto a = random_vector(static_cast<std::size_t>(m) * m, 37);
-    const auto b = random_vector(static_cast<std::size_t>(m) * m, 41);
-    std::vector<double> cmat(static_cast<std::size_t>(m) * m);
-    ak::gemm(a, b, cmat, m, m, m, 0.0, &g);
-    EXPECT_GT(g.ws_bytes, 0.0);
-    EXPECT_LE(g.ws_bytes, 3.0 * 64.0 * 64.0 * 8.0);
 }

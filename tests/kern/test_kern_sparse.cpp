@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
+#include <string>
 
 namespace ak = armstice::kern;
 
@@ -33,35 +35,58 @@ TEST(Csr, SpmvSizeChecks) {
     EXPECT_THROW(a.spmv(bad, y), armstice::util::Error);
 }
 
-class SpmvVsDense : public ::testing::TestWithParam<long> {};
+namespace {
+
+/// One SpMV input, named by its ctest suffix: random_spd(n) matrices plus
+/// the degenerate shapes (no rows, no columns, rows with no entries).
+struct SpmvShape {
+    std::string name;
+    ak::CsrMatrix a;
+};
+
+void PrintTo(const SpmvShape& s, std::ostream* os) { *os << s.name; }
+
+SpmvShape spd(long n) {
+    return {std::to_string(n), ak::random_spd(n, 3, 17u + static_cast<unsigned long>(n))};
+}
+
+} // namespace
+
+class SpmvVsDense : public ::testing::TestWithParam<SpmvShape> {};
 
 TEST_P(SpmvVsDense, MatchesDenseReference) {
-    const long n = GetParam();
-    const auto a = ak::random_spd(n, 3, 17u + static_cast<unsigned long>(n));
+    const auto& a = GetParam().a;
+    const long rows = a.rows(), cols = a.cols();
     armstice::util::Rng rng(5);
-    std::vector<double> x(static_cast<std::size_t>(n));
+    std::vector<double> x(static_cast<std::size_t>(cols));
     for (auto& v : x) v = rng.uniform(-1, 1);
 
     // Densify and multiply with gemv.
-    std::vector<double> dense(static_cast<std::size_t>(n) * n, 0.0);
-    for (long i = 0; i < n; ++i) {
+    std::vector<double> dense(static_cast<std::size_t>(rows * cols), 0.0);
+    for (long i = 0; i < rows; ++i) {
         for (long k = a.row_ptr()[static_cast<std::size_t>(i)];
              k < a.row_ptr()[static_cast<std::size_t>(i) + 1]; ++k) {
-            dense[static_cast<std::size_t>(i) * n +
-                  a.col_idx()[static_cast<std::size_t>(k)]] =
+            dense[static_cast<std::size_t>(i * cols) +
+                  static_cast<std::size_t>(a.col_idx()[static_cast<std::size_t>(k)])] =
                 a.vals()[static_cast<std::size_t>(k)];
         }
     }
-    std::vector<double> y_sparse(static_cast<std::size_t>(n)),
-        y_dense(static_cast<std::size_t>(n));
+    std::vector<double> y_sparse(static_cast<std::size_t>(rows), -1.0),
+        y_dense(static_cast<std::size_t>(rows));
     a.spmv(x, y_sparse);
-    ak::gemv(dense, static_cast<int>(n), static_cast<int>(n), x, y_dense);
-    for (std::size_t i = 0; i < x.size(); ++i) {
+    ak::gemv(dense, static_cast<int>(rows), static_cast<int>(cols), x, y_dense);
+    for (std::size_t i = 0; i < y_sparse.size(); ++i) {
         EXPECT_NEAR(y_sparse[i], y_dense[i], 1e-12);
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, SpmvVsDense, ::testing::Values(5L, 17L, 64L, 200L));
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, SpmvVsDense,
+    ::testing::Values(spd(5), spd(17), spd(64), spd(200),
+                      SpmvShape{"0x0", ak::CsrMatrix(0, 0, {})},
+                      SpmvShape{"3x0", ak::CsrMatrix(3, 0, {})},
+                      SpmvShape{"4x5_empty_rows",
+                                ak::CsrMatrix(4, 5, {{0, 4, 2.5}, {3, 0, -1.0}})}));
 
 TEST(Csr, SpmvCountsAreExact) {
     const auto a = ak::poisson27(6, 6, 6);

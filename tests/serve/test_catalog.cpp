@@ -4,7 +4,9 @@
 // it asked for. A wrapped or saturated parse would serve `iters=4294967297`
 // as `iters=1`, `iters=9999999999999999999999` as `iters=-1` and
 // `elems=2147483648` as `elems=-2147483648`; `nnz=inf` and `nnz=nan` are
-// not numbers any model can price.
+// not numbers any model can price. A minikab or nekbone point on 0 ranks is
+// rejected too (only COSA reads 0 ranks, as a full node), and `nnz=-0`
+// shares `nnz=0`'s canonical key.
 //
 // Frame bound: a point whose per-rank stats alone exceed kMaxFrame is
 // rejected before evaluation, and a result that still does not fit one frame
@@ -38,12 +40,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-as::PointSpec spec(const std::string& app, const std::string& config) {
+as::PointSpec spec(const std::string& app, const std::string& config, int ranks = 8) {
     as::PointSpec p;
     p.app = app;
     p.system = "A64FX";
     p.nodes = 1;
-    p.ranks = 8;
+    p.ranks = ranks;
     p.config = config;
     return p;
 }
@@ -53,7 +55,9 @@ std::vector<as::PointSpec> out_of_range() {
             spec("minikab", "iters=9999999999999999999999"),
             spec("nekbone", "elems=2147483648"),
             spec("minikab", "nnz=inf"),
-            spec("minikab", "nnz=nan")};
+            spec("minikab", "nnz=nan"),
+            spec("minikab", "", /*ranks=*/0),
+            spec("nekbone", "", /*ranks=*/0)};
 }
 
 } // namespace
@@ -62,6 +66,9 @@ TEST(Catalog, RejectsNumbersTheFieldCannotHold) {
     for (const auto& s : out_of_range()) {
         EXPECT_THROW((void)as::canonicalize(s), au::Error) << s.app << " " << s.config;
     }
+    // -0 is a number the field holds: the same one as 0, under one key.
+    EXPECT_EQ(as::canonicalize(spec("minikab", "nnz=-0")).config,
+              as::canonicalize(spec("minikab", "nnz=0")).config);
 }
 
 TEST(Catalog, IntFieldsAcceptIntMaxAndRejectOneMore) {

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <vector>
 
 namespace am = armstice::simmpi;
 namespace as = armstice::sim;
@@ -67,14 +71,55 @@ TEST(CartNeighbors, PeriodicUniformCounts) {
     for (const auto& v : nb) EXPECT_EQ(v.size(), 4u);
 }
 
+namespace {
+
+/// Brute-force oracle over every rank pair: q neighbours r iff their
+/// coordinates differ along exactly one dim, by one step (or by d - 1, the
+/// wrap, when periodic). Lists come out ascending.
+std::vector<std::vector<int>> enumerate_neighbors(const std::vector<int>& dims,
+                                                  bool periodic) {
+    const int p = std::accumulate(dims.begin(), dims.end(), 1, std::multiplies<>());
+    auto coords = [&](int rank) {
+        std::vector<int> c;
+        for (const int d : dims) {
+            c.push_back(rank % d);
+            rank /= d;
+        }
+        return c;
+    };
+    std::vector<std::vector<int>> out(static_cast<std::size_t>(p));
+    for (int r = 0; r < p; ++r) {
+        const auto cr = coords(r);
+        for (int q = 0; q < p; ++q) {
+            const auto cq = coords(q);
+            int differing = 0;
+            bool one_step = true;
+            for (std::size_t i = 0; i < dims.size(); ++i) {
+                if (cr[i] == cq[i]) continue;
+                ++differing;
+                const int gap = std::abs(cr[i] - cq[i]);
+                one_step = one_step && (gap == 1 || (periodic && gap == dims[i] - 1));
+            }
+            if (differing == 1 && one_step) out[static_cast<std::size_t>(r)].push_back(q);
+        }
+    }
+    return out;
+}
+
+} // namespace
+
 TEST(CartNeighbors, SymmetricGraph) {
-    for (bool periodic : {false, true}) {
-        const auto nb = am::cart_neighbors({3, 4, 2}, periodic);
-        for (std::size_t r = 0; r < nb.size(); ++r) {
-            for (int n : nb[r]) {
-                const auto& back = nb[static_cast<std::size_t>(n)];
-                EXPECT_NE(std::find(back.begin(), back.end(), static_cast<int>(r)),
-                          back.end());
+    for (const std::vector<int>& dims : {std::vector<int>{3, 4, 2}, std::vector<int>{2, 1, 1}}) {
+        for (bool periodic : {false, true}) {
+            const auto nb = am::cart_neighbors(dims, periodic);
+            EXPECT_EQ(nb, enumerate_neighbors(dims, periodic))
+                << dims[0] << "x" << dims[1] << "x" << dims[2] << " periodic=" << periodic;
+            for (std::size_t r = 0; r < nb.size(); ++r) {
+                for (int n : nb[r]) {
+                    const auto& back = nb[static_cast<std::size_t>(n)];
+                    EXPECT_NE(std::find(back.begin(), back.end(), static_cast<int>(r)),
+                              back.end());
+                }
             }
         }
     }
