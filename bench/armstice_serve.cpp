@@ -173,8 +173,15 @@ int main(int argc, char** argv) {
     cli.option("max-inflight", "admission bound on fresh computations", "256");
     cli.option("max-sessions", "concurrent client connections", "64");
     cli.flag("smoke", "run the in-process self-test and exit");
+    serve::ServerConfig cfg;
     try {
         cli.parse(argc, argv);
+        cfg.unix_path = cli.has("unix") ? cli.get("unix") : "";
+        cfg.tcp_port = cli.get_int("port", -1, 65535);
+        cfg.workers = cli.get_int("workers", 1, util::kMaxJobs);
+        cfg.max_inflight =
+            static_cast<std::size_t>(cli.get_int("max-inflight", 1, 1 << 20));
+        cfg.max_sessions = cli.get_int("max-sessions", 1, 1 << 16);
     } catch (const util::Error& e) {
         std::fprintf(stderr, "%s\n%s", e.what(), cli.usage().c_str());
         return 2;
@@ -188,13 +195,6 @@ int main(int argc, char** argv) {
             return 1;
         }
     }
-
-    serve::ServerConfig cfg;
-    cfg.unix_path = cli.get("unix");
-    cfg.tcp_port = static_cast<int>(cli.get_long("port"));
-    cfg.workers = static_cast<int>(cli.get_long("workers"));
-    cfg.max_inflight = static_cast<std::size_t>(cli.get_long("max-inflight"));
-    cfg.max_sessions = static_cast<int>(cli.get_long("max-sessions"));
     if (cfg.unix_path.empty() && cfg.tcp_port < 0) {
         cfg.tcp_port = 0;  // default: ephemeral TCP, port printed below
     }

@@ -16,6 +16,7 @@
 #include "core/runner.hpp"
 #include "serve/catalog.hpp"
 #include "serve/client.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -93,22 +94,20 @@ int main(int argc, char** argv) {
     cli.option("max-inflight", "server admission bound", "256");
     cli.option("seed", "base RNG seed", "42");
     cli.option("json", "output path ('' = no file)", "BENCH_serve.json");
+    int clients = 0, requests = 0, keys = 0, points = 0, workers = 0, max_inflight = 0;
     try {
         cli.parse(argc, argv);
+        clients = cli.get_int("clients", 1, util::kMaxJobs);
+        requests = cli.get_int("requests", 1, 1 << 20);
+        keys = cli.get_int("keys", 1, 1 << 16);
+        points = cli.get_int("points", 1, static_cast<int>(serve::kMaxPointsPerRequest));
+        workers = cli.get_int("workers", 1, util::kMaxJobs);
+        max_inflight = cli.get_int("max-inflight", 1, 1 << 20);
     } catch (const util::Error& e) {
         std::fprintf(stderr, "%s\n%s", e.what(), cli.usage().c_str());
         return 2;
     }
-
-    const int clients = static_cast<int>(cli.get_long("clients"));
-    const int requests = static_cast<int>(cli.get_long("requests"));
-    const int keys = static_cast<int>(cli.get_long("keys"));
-    const int points = static_cast<int>(cli.get_long("points"));
     const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_long("seed"));
-    if (clients < 1 || requests < 1 || keys < 1 || points < 1) {
-        std::fprintf(stderr, "armstice_serve_load: all sizes must be >= 1\n");
-        return 2;
-    }
 
     const std::vector<serve::PointSpec> pool = build_pool(keys);
 
@@ -129,8 +128,8 @@ int main(int argc, char** argv) {
             .string();
     serve::ServerConfig cfg;
     cfg.unix_path = sock_path;
-    cfg.workers = static_cast<int>(cli.get_long("workers"));
-    cfg.max_inflight = static_cast<std::size_t>(cli.get_long("max-inflight"));
+    cfg.workers = workers;
+    cfg.max_inflight = static_cast<std::size_t>(max_inflight);
     cfg.max_sessions = clients + 4;
     serve::Server server(cfg);
     server.start();

@@ -146,9 +146,9 @@ am::ProgramSet cosa_skeleton(int ranks, int iters) {
 /// compute phases and allreduce cadence as hpcg_skeleton, but no halo
 /// exchanges — point-to-point ops are rank-asymmetric (distinct dst lists)
 /// and split the engine's rank-equivalence classes (DESIGN.md §11), and the
-/// scale rows exist to measure the collapsed engine. The caller must also
-/// zero os_noise: the noise term is rank-keyed, so any nonzero noise splits
-/// every class at the first ComputeOp.
+/// scale rows exist to measure the collapsed engine. The caller zeroes
+/// os_noise so the rows time the uniform-clock path; at default knobs the
+/// class would run on per-member clocks instead (DESIGN.md §11.5).
 am::ProgramSet hpcg_spmd_skeleton(int ranks, int iters) {
     constexpr int kLevels = 3;
     const double rows = 16.0 * 16.0 * 16.0;
@@ -198,7 +198,7 @@ struct Scenario {
     int collapse_classes = 0; ///< rank-equivalence classes the run ended with
     int collapse_splits = 0;  ///< split events, broken down by cause below
     int split_p2p = 0;        ///< absolute p2p / wildcard / rel-arrival splits
-    int split_noise = 0;      ///< rank-keyed OS-noise compute splits
+    int split_noise = 0;      ///< always 0: noise keeps per-member clocks
     int split_placement = 0;  ///< rel-send hop-tier (node edge) splits
     bool bit_identical = false;  ///< diffed against collapse-off and equal
 };
@@ -289,10 +289,11 @@ Scenario measure(const std::string& app, int ranks,
     s.ops_per_sec = static_cast<double>(s.ops) / best;
     finish_rss(&s, rss_reset);
     std::printf("  %-5s %5d ranks  %9ld ops  %8.4f s  %10.0f ops/s"
-                "  rss %ld MiB%s  (makespan %.3f s)\n",
+                "  rss %ld MiB%s  classes %d  (makespan %.3f s)\n",
                 app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
-                s.rss_per_scenario ? "" : " (process)", makespan);
+                s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
+                makespan);
     return s;
 }
 
@@ -310,7 +311,7 @@ Scenario measure_scale(const std::string& app, int ranks,
                        as::RunResult* out, bool collapse = true) {
     const int nodes = (ranks + 63) / 64;  // Fulhame: 64 cores/node
     aa::ModelKnobs noiseless;
-    noiseless.os_noise = 0;  // rank-keyed noise would split every class
+    noiseless.os_noise = 0;  // time the uniform-clock path (DESIGN.md §11.5)
     const as::Engine engine(aa::fulhame(),
                             as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
                             0.8, noiseless);
@@ -460,8 +461,9 @@ int main(int argc, char** argv) {
     }
 
     // Relative-halo collapse rows (DESIGN.md §11.4): the SAME halo skeletons
-    // as the throughput rows above, but under os_noise=0 so the collapse is
-    // observable — halo_exchange's relative addressing keeps the grid/chain
+    // as the throughput rows above, but under os_noise=0, so they time the
+    // uniform-clock path (the rows above run merged on per-member clocks,
+    // §11.5) — halo_exchange's relative addressing keeps the grid/chain
     // interior merged through the p2p, ending with classes << ranks. Each
     // skeleton is measured with collapse on and off, and the two RunResults
     // must be bit-identical (the off row records what the engine pays

@@ -11,6 +11,7 @@
 // far beyond the fuzz suite's case sizes — and `--halo-collapse-smoke N`
 // gates the relative-addressed halo path (§11.4: a 3D Cartesian skeleton
 // must end with classes << ranks AND stay bit-identical to collapse-off).
+// Both smokes run their skeleton with os_noise = 0 and at default knobs.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -24,7 +25,9 @@
 
 #include <time.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 namespace {
@@ -41,14 +44,53 @@ double wall_now() {
     return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
+/// Result of one collapse smoke skeleton, run once with os_noise = 0 and
+/// once at default knobs (where merged classes keep per-member clocks,
+/// DESIGN.md §11.5).
+struct Smoke {
+    int ranks = 0;
+    int classes = 0;        ///< classes the os_noise = 0 run ended with
+    int noisy_classes = 0;  ///< classes the default-knob run ended with
+    bool ok = true;         ///< both runs bit-identical and within the bound
+};
+
+/// Run `bundle` collapsed, uncollapsed and collapsed under a perturbed
+/// schedule with `knobs`, and require all three RunResults bit-identical.
+/// Prints any difference under `what`; returns the collapsed result.
+as::RunResult smoke_run(const char* what, int ranks, const as::ProgramBundle& bundle,
+                        const aa::ModelKnobs& knobs, std::uint64_t seed, bool* ok) {
+    const int nodes = (ranks + 63) / 64;
+    const as::Engine eng(aa::fulhame(),
+                         as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
+                         0.8, knobs);
+    const as::RunResult collapsed = eng.run(bundle);
+    as::RunOptions flat;
+    flat.collapse = false;
+    const std::string d1 = ck::diff_results(collapsed, eng.run(bundle, flat));
+    as::RunOptions shaken;
+    shaken.perturb_seed = seed;
+    const std::string d2 = ck::diff_results(collapsed, eng.run(bundle, shaken));
+    if (!d1.empty()) {
+        std::fprintf(stderr, "%s (%d ranks): collapsed vs flat: %s\n", what, ranks,
+                     d1.c_str());
+    }
+    if (!d2.empty()) {
+        std::fprintf(stderr, "%s (%d ranks): collapsed vs perturbed: %s\n", what,
+                     ranks, d2.c_str());
+    }
+    *ok = *ok && d1.empty() && d2.empty();
+    return collapsed;
+}
+
 /// Rank-equivalence collapse smoke (DESIGN.md §11): run one SPMD skeleton at
-/// `ranks` ranks as a shared ProgramBundle — collapsed, uncollapsed, and
-/// collapsed under a perturbed schedule — and require all three RunResults
-/// bit-identical. This is the only gate that exercises collapse at a scale
-/// (100k ranks in CI) where the fuzz suite's 4..32-rank cases cannot; it is
-/// cheap because the collapsed runs simulate O(classes) state machines and
-/// the single flat run is pure SPMD. Returns true on bit-identity.
-bool collapse_smoke(int ranks) {
+/// `ranks` ranks as a shared ProgramBundle, with os_noise = 0 and at default
+/// knobs. Each run must be bit-identical to collapse-off and to a perturbed
+/// schedule, and must never split: an SPMD program ends with the classes it
+/// started with (one at 100k ranks), noise or not. This is the only gate
+/// that exercises collapse at a scale (100k ranks in CI) where the fuzz
+/// suite's 4..32-rank cases cannot; it is cheap because the collapsed runs
+/// simulate O(classes) state machines and the flat runs are pure SPMD.
+Smoke collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "smoke-spmv";
     spmv.flops = 2.0 * 27.0 * 4096.0;
@@ -69,44 +111,41 @@ bool collapse_smoke(int ranks) {
     ARMSTICE_CHECK(ps.spmd(), "collapse smoke skeleton must stay SPMD");
     const as::ProgramBundle bundle = ps.take_bundle();
 
-    const int nodes = (ranks + 63) / 64;
+    Smoke out;
+    out.ranks = ranks;
     aa::ModelKnobs noiseless;
-    noiseless.os_noise = 0;  // rank-keyed noise splits every class
-    const as::Engine eng(aa::fulhame(),
-                         as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
-                         0.8, noiseless);
-
-    const as::RunResult collapsed = eng.run(bundle);
-    as::RunOptions flat;
-    flat.collapse = false;
-    const std::string d1 = ck::diff_results(collapsed, eng.run(bundle, flat));
-    as::RunOptions shaken;
-    shaken.perturb_seed = 0x5eedful;
-    const std::string d2 = ck::diff_results(collapsed, eng.run(bundle, shaken));
-    if (!d1.empty()) {
-        std::fprintf(stderr, "collapse smoke (%d ranks): collapsed vs flat: %s\n",
-                     ranks, d1.c_str());
+    noiseless.os_noise = 0;
+    const as::RunResult quiet =
+        smoke_run("collapse smoke", ranks, bundle, noiseless, 0x5eedful, &out.ok);
+    const as::RunResult noisy = smoke_run("collapse smoke, default knobs", ranks,
+                                          bundle, aa::ModelKnobs{}, 0x5eedful, &out.ok);
+    out.classes = quiet.collapse_classes;
+    out.noisy_classes = noisy.collapse_classes;
+    for (const as::RunResult* r : {&quiet, &noisy}) {
+        if (r->collapse_splits != 0) {
+            std::fprintf(stderr, "collapse smoke (%d ranks): %d splits in an SPMD run\n",
+                         ranks, r->collapse_splits);
+            out.ok = false;
+        }
     }
-    if (!d2.empty()) {
-        std::fprintf(stderr, "collapse smoke (%d ranks): collapsed vs perturbed: %s\n",
-                     ranks, d2.c_str());
-    }
-    std::printf("collapse smoke: %d ranks, %d classes, %d splits — %s\n", ranks,
-                collapsed.collapse_classes, collapsed.collapse_splits,
-                d1.empty() && d2.empty() ? "bit-identical" : "MISMATCH");
-    return d1.empty() && d2.empty();
+    std::printf("collapse smoke: %d ranks, %d classes (default knobs: %d), %d splits"
+                " — %s\n",
+                ranks, out.classes, out.noisy_classes,
+                quiet.collapse_splits + noisy.collapse_splits,
+                out.ok ? "bit-identical" : "MISMATCH");
+    return out;
 }
 
 /// Relative-halo collapse smoke (DESIGN.md §11.4): run a 3D Cartesian halo
-/// skeleton at `ranks` ranks as a shared ProgramBundle. halo_exchange emits
-/// relative-addressed p2p, so the grid interior shares one structural
-/// program and the engine executes it as merged classes — the gate requires
-/// (a) the run to end with FAR fewer classes than ranks (the collapse
-/// actually carried through the p2p), and (b) bit-identity against
-/// collapse-off and a perturbed collapsed schedule. This is the only halo
-/// gate at a scale (100k ranks in CI) the fuzz suite and unit tests cannot
-/// reach. Returns true when both hold.
-bool halo_collapse_smoke(int ranks) {
+/// skeleton at `ranks` ranks as a shared ProgramBundle, with os_noise = 0
+/// and at default knobs. halo_exchange emits relative-addressed p2p, so the
+/// grid interior shares one structural program and the engine executes it
+/// as merged classes — each run must (a) end with FAR fewer classes than
+/// ranks (the collapse actually carried through the p2p, and through the
+/// noise), and (b) stay bit-identical to collapse-off and to a perturbed
+/// collapsed schedule. This is the only halo gate at a scale (100k ranks in
+/// CI) the fuzz suite and unit tests cannot reach.
+Smoke halo_collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "halo-smoke-spmv";
     spmv.flops = 2.0 * 27.0 * 4096.0;
@@ -124,52 +163,41 @@ bool halo_collapse_smoke(int ranks) {
     }
     const as::ProgramBundle bundle = ps.take_bundle();
 
-    const int nodes = (ranks + 63) / 64;
+    Smoke out;
+    out.ranks = ranks;
     aa::ModelKnobs noiseless;
-    noiseless.os_noise = 0;  // rank-keyed noise splits every class
-    const as::Engine eng(aa::fulhame(),
-                         as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
-                         0.8, noiseless);
-
-    const as::RunResult collapsed = eng.run(bundle);
-    as::RunOptions flat;
-    flat.collapse = false;
-    const std::string d1 = ck::diff_results(collapsed, eng.run(bundle, flat));
-    as::RunOptions shaken;
-    shaken.perturb_seed = 0x4a105eedULL;
-    const std::string d2 = ck::diff_results(collapsed, eng.run(bundle, shaken));
-    if (!d1.empty()) {
-        std::fprintf(stderr,
-                     "halo collapse smoke (%d ranks): collapsed vs flat: %s\n",
-                     ranks, d1.c_str());
-    }
-    if (!d2.empty()) {
-        std::fprintf(stderr,
-                     "halo collapse smoke (%d ranks): collapsed vs perturbed: %s\n",
-                     ranks, d2.c_str());
-    }
+    noiseless.os_noise = 0;
+    const as::RunResult quiet = smoke_run("halo collapse smoke", ranks, bundle,
+                                          noiseless, 0x4a105eedULL, &out.ok);
+    const as::RunResult noisy =
+        smoke_run("halo collapse smoke, default knobs", ranks, bundle,
+                  aa::ModelKnobs{}, 0x4a105eedULL, &out.ok);
+    out.classes = quiet.collapse_classes;
+    out.noisy_classes = noisy.collapse_classes;
     // "Far fewer": the interior must stay merged. A 3D halo has <= 27
     // structural boundary patterns; splits add node-edge and arrival-order
     // classes but never approach O(ranks).
-    const bool merged = collapsed.collapse_classes * 16 <= ranks;
-    if (!merged) {
-        std::fprintf(stderr,
-                     "halo collapse smoke (%d ranks): %d classes — interior did"
-                     " not stay merged\n",
-                     ranks, collapsed.collapse_classes);
+    for (const as::RunResult* r : {&quiet, &noisy}) {
+        if (r->collapse_classes * 16 > ranks) {
+            std::fprintf(stderr,
+                         "halo collapse smoke (%d ranks): %d classes — interior did"
+                         " not stay merged\n",
+                         ranks, r->collapse_classes);
+            out.ok = false;
+        }
     }
-    const bool ok = d1.empty() && d2.empty() && merged;
     std::printf("halo collapse smoke: %d ranks, %d classes, %d splits"
-                " (p2p %d, placement %d) — %s\n",
-                ranks, collapsed.collapse_classes, collapsed.collapse_splits,
-                collapsed.collapse_split_p2p, collapsed.collapse_split_placement,
-                ok ? "bit-identical" : "MISMATCH");
-    return ok;
+                " (p2p %d, placement %d); default knobs: %d classes, %d splits"
+                " — %s\n",
+                ranks, quiet.collapse_classes, quiet.collapse_splits,
+                quiet.collapse_split_p2p, quiet.collapse_split_placement,
+                noisy.collapse_classes, noisy.collapse_splits,
+                out.ok ? "bit-identical" : "MISMATCH");
+    return out;
 }
 
 void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
-                double seconds, int smoke_ranks, bool smoke_ok,
-                int halo_ranks, bool halo_ok) {
+                double seconds, const Smoke& smoke, const Smoke& halo) {
     std::string j = "{\n  \"bench\": \"simcheck\",\n  \"unit\": \"seeds/sec\",\n";
     j += format("  \"seeds\": %d,\n  \"first_seed\": %llu,\n", cfg.seeds,
                 static_cast<unsigned long long>(cfg.first_seed));
@@ -177,11 +205,17 @@ void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
                 rep.perturbations, rep.deadlock_cases);
     j += format("  \"jobs\": %d,\n  \"failures\": %zu,\n", cfg.jobs,
                 rep.failures.size());
-    j += format("  \"collapse_smoke_ranks\": %d,\n  \"collapse_smoke_ok\": %s,\n",
-                smoke_ranks, smoke_ok ? "true" : "false");
+    j += format("  \"collapse_smoke_ranks\": %d,\n  \"collapse_smoke_ok\": %s,\n"
+                "  \"collapse_smoke_classes\": %d,\n"
+                "  \"collapse_smoke_noisy_classes\": %d,\n",
+                smoke.ranks, smoke.ok ? "true" : "false", smoke.classes,
+                smoke.noisy_classes);
     j += format("  \"halo_collapse_smoke_ranks\": %d,\n"
-                "  \"halo_collapse_smoke_ok\": %s,\n",
-                halo_ranks, halo_ok ? "true" : "false");
+                "  \"halo_collapse_smoke_ok\": %s,\n"
+                "  \"halo_collapse_smoke_classes\": %d,\n"
+                "  \"halo_collapse_smoke_noisy_classes\": %d,\n",
+                halo.ranks, halo.ok ? "true" : "false", halo.classes,
+                halo.noisy_classes);
     j += format("  \"seconds\": %.3f,\n  \"seeds_per_sec\": %.2f\n}\n", seconds,
                 seconds > 0 ? cfg.seeds / seconds : 0.0);
     if (!armstice::util::write_file_atomic("BENCH_simcheck.json", j)) {
@@ -215,14 +249,15 @@ int main(int argc, char** argv) {
     int halo_ranks = 0;
     try {
         cli.parse(argc, argv);
-        cfg.seeds = static_cast<int>(cli.get_long("seeds"));
+        constexpr int kMaxInt = std::numeric_limits<int>::max();
+        cfg.seeds = cli.get_int("seeds", 1, kMaxInt);
         cfg.first_seed = static_cast<std::uint64_t>(cli.get_long("first-seed"));
-        cfg.ranks = static_cast<int>(cli.get_long("ranks"));
-        cfg.perturbations = static_cast<int>(cli.get_long("perturb"));
-        cfg.deadlock_every = static_cast<int>(cli.get_long("deadlock-every"));
-        cfg.jobs = static_cast<int>(cli.get_long("jobs"));
-        smoke_ranks = static_cast<int>(cli.get_long("collapse-smoke"));
-        halo_ranks = static_cast<int>(cli.get_long("halo-collapse-smoke"));
+        cfg.ranks = cli.get_int("ranks", 0, 4096);
+        cfg.perturbations = cli.get_int("perturb", 0, 1024);
+        cfg.deadlock_every = cli.get_int("deadlock-every", 0, kMaxInt);
+        cfg.jobs = cli.get_int("jobs", 1, armstice::util::kMaxJobs);
+        smoke_ranks = cli.get_int("collapse-smoke", 0, 1 << 24);
+        halo_ranks = cli.get_int("halo-collapse-smoke", 0, 1 << 24);
     } catch (const armstice::util::Error& e) {
         std::fprintf(stderr, "simcheck: %s\n%s", e.what(), cli.usage().c_str());
         return 2;
@@ -238,8 +273,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", rep.render().c_str());
     std::printf("%.2f s wall, %.2f seeds/sec\n", dt,
                 dt > 0 ? cfg.seeds / dt : 0.0);
-    const bool smoke_ok = smoke_ranks <= 0 || collapse_smoke(smoke_ranks);
-    const bool halo_ok = halo_ranks <= 0 || halo_collapse_smoke(halo_ranks);
-    write_json(cfg, rep, dt, smoke_ranks, smoke_ok, halo_ranks, halo_ok);
-    return rep.ok() && smoke_ok && halo_ok ? 0 : 1;
+    const Smoke smoke = smoke_ranks > 0 ? collapse_smoke(smoke_ranks) : Smoke{};
+    const Smoke halo = halo_ranks > 0 ? halo_collapse_smoke(halo_ranks) : Smoke{};
+    write_json(cfg, rep, dt, smoke, halo);
+    return rep.ok() && smoke.ok && halo.ok ? 0 : 1;
 }

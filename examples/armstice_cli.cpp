@@ -26,6 +26,12 @@ namespace {
 
 using namespace armstice;
 
+// Option bounds: a count outside them is rejected, never narrowed. Nodes x
+// cores (at most 128 on every modelled system) stays within an int rank.
+constexpr int kMaxNodes = 1 << 18;
+constexpr int kMaxRanks = 1 << 25;
+constexpr int kMaxThreads = 1024;
+
 struct RunSummary {
     apps::AppResult res;
     std::string metric;
@@ -81,11 +87,11 @@ RunSummary run_app(const std::string& app, const arch::SystemSpec& sys, int node
 
 int cmd_run(util::Cli& cli) {
     const auto& sys = arch::system_by_name(cli.get("system"));
-    const int nodes = static_cast<int>(cli.get_long("nodes"));
+    const int nodes = cli.get_int("nodes", 1, kMaxNodes);
     const auto summary =
         run_app(cli.positionals()[1], sys, nodes,
-                cli.has("ranks") ? static_cast<int>(cli.get_long("ranks")) : 0,
-                static_cast<int>(cli.get_long("threads")), cli.has("fastmath"),
+                cli.has("ranks") ? cli.get_int("ranks", 1, kMaxRanks) : 0,
+                cli.get_int("threads", 1, kMaxThreads), cli.has("fastmath"),
                 cli.has("optimized"));
     if (!summary.res.feasible) {
         std::printf("infeasible: %s\n", summary.res.note.c_str());
@@ -106,12 +112,12 @@ int cmd_run(util::Cli& cli) {
 
 int cmd_sweep(util::Cli& cli) {
     const auto& sys = arch::system_by_name(cli.get("system"));
-    const int max_nodes = static_cast<int>(cli.get_long("max-nodes"));
+    const int max_nodes = cli.get_int("max-nodes", 1, kMaxNodes);
     util::Table t(cli.positionals()[1] + " on " + sys.name + " (node sweep)");
     t.header({"Nodes", "Result", "Seconds"});
     for (int nodes = 1; nodes <= max_nodes; nodes *= 2) {
         const auto summary = run_app(cli.positionals()[1], sys, nodes, 0,
-                                     static_cast<int>(cli.get_long("threads")),
+                                     cli.get_int("threads", 1, kMaxThreads),
                                      cli.has("fastmath"), cli.has("optimized"));
         t.row({std::to_string(nodes),
                summary.res.feasible ? summary.metric : "infeasible (memory)",

@@ -174,17 +174,6 @@ Toolchain system_default(std::string_view system) {
 
 } // namespace
 
-std::string Toolchain::vendor_name() const {
-    switch (vendor) {
-        case CompilerVendor::fujitsu: return "Fujitsu";
-        case CompilerVendor::intel: return "Intel";
-        case CompilerVendor::gnu: return "GNU";
-        case CompilerVendor::armclang: return "Arm Clang";
-        case CompilerVendor::cray: return "Cray";
-    }
-    return "?";
-}
-
 Toolchain toolchain_for(std::string_view system, std::string_view app) {
     const auto key = std::string(system) + "/" + std::string(app);
     const auto& t = table2();

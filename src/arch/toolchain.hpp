@@ -23,8 +23,6 @@ struct Toolchain {
     /// True when the Table II flag set includes -Kfast / -ffast-math /
     /// -ffp-contract=fast style options.
     bool fastmath = false;
-
-    [[nodiscard]] std::string vendor_name() const;
 };
 
 /// Applications with a Table II entry.

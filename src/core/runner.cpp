@@ -1,6 +1,7 @@
 #include "core/runner.hpp"
 
 #include "core/cache.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/str.hpp"
@@ -8,7 +9,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -35,13 +35,6 @@ int g_default_jobs = 0;  // 0 = unset -> consult ARMSTICE_JOBS, else serial
 // wall-time counters a second time.
 thread_local bool t_in_eval = false;
 
-int env_jobs() {
-    const char* env = std::getenv("ARMSTICE_JOBS");
-    if (env == nullptr || *env == '\0') return 0;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<int>(v) : 0;
-}
-
 } // namespace
 
 std::string SweepPoint::key() const {
@@ -66,7 +59,7 @@ int default_jobs() {
         std::lock_guard<std::mutex> lock(g_mu);
         if (g_default_jobs >= 1) return g_default_jobs;
     }
-    const int env = env_jobs();
+    const int env = util::env_jobs();
     return env >= 1 ? env : 1;
 }
 

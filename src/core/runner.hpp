@@ -131,7 +131,8 @@ struct RunHooks {
 
 /// Default pool size for new SweepRunners: the value installed by
 /// set_default_jobs (bench `--jobs N`), else the ARMSTICE_JOBS environment
-/// variable, else 1 (serial — callers never pay thread startup unasked).
+/// variable (util::env_jobs; throws util::Error on a bad value), else 1
+/// (serial — callers never pay thread startup unasked).
 int default_jobs();
 void set_default_jobs(int jobs);
 

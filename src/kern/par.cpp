@@ -1,11 +1,11 @@
 #include "kern/par.hpp"
 
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/threadpool.hpp"
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -14,13 +14,6 @@ namespace armstice::kern::par {
 namespace {
 
 std::atomic<int> g_jobs{0};  // 0 = unset -> consult ARMSTICE_JOBS, else 1
-
-int env_jobs() {
-    const char* env = std::getenv("ARMSTICE_JOBS");
-    if (env == nullptr || *env == '\0') return 0;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<int>(v) : 0;
-}
 
 // Workers executing a parallel_for body set this so a nested parallel_for
 // runs inline instead of submitting to (and then waiting on) the pool its
@@ -46,7 +39,7 @@ std::shared_ptr<util::ThreadPool> pool_for(int threads) {
 int jobs() {
     const int set = g_jobs.load(std::memory_order_relaxed);
     if (set >= 1) return set;
-    const int env = env_jobs();
+    const int env = util::env_jobs();
     return env >= 1 ? env : 1;
 }
 

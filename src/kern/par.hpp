@@ -31,8 +31,9 @@
 namespace armstice::kern::par {
 
 /// Worker threads used by parallel_for/reduce_sum: the last set_jobs value
-/// if >= 1, else the ARMSTICE_JOBS environment variable, else 1 (serial —
-/// kernels never pay thread startup unasked).
+/// if >= 1, else the ARMSTICE_JOBS environment variable (util::env_jobs;
+/// throws util::Error on a bad value), else 1 (serial — kernels never pay
+/// thread startup unasked).
 int jobs();
 
 /// Install the process-wide kernel thread count (bench --jobs; tests).

@@ -81,10 +81,6 @@ double Network::p2p_time(int node_a, int node_b, double bytes) const {
            params_.msg_overhead_s;
 }
 
-double Network::injection_time(double bytes) const {
-    return bytes / params_.injection_bw;
-}
-
 double Network::mean_latency() const {
     return params_.latency_s + topo_->mean_hops() * params_.per_hop_s;
 }

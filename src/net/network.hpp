@@ -26,10 +26,6 @@ public:
     /// (same node -> shared-memory path).
     [[nodiscard]] double p2p_time(int node_a, int node_b, double bytes) const;
 
-    /// Time the sender's NIC is busy injecting the message (used by the
-    /// engine to serialise a node's outgoing messages).
-    [[nodiscard]] double injection_time(double bytes) const;
-
     /// Effective startup latency including the mean route (collectives).
     [[nodiscard]] double mean_latency() const;
 

@@ -98,15 +98,16 @@ struct Mailbox {
 
 enum class BlockKind { none, recv, collective };
 
-/// One *simulation class*: a set of ranks whose futures are provably
+/// One *simulation class*: a set of ranks whose control flow is provably
 /// identical (same Program object, same ExecContext class) executing as one
 /// state machine (DESIGN.md §11). A singleton class is exactly the old
 /// per-rank state. Collapsed classes split — lazily, the moment the next op
 /// could break the symmetry — into subclasses that inherit the shared state,
 /// so every rank's trajectory is bit-identical to an uncollapsed run.
-/// Absolute-addressed p2p and noise-stretched compute split to singletons;
-/// relative-addressed p2p (the halo form) splits by *group*, peeling off
-/// only the members whose hop tier or message arrival actually diverges.
+/// Absolute-addressed p2p splits to singletons; relative-addressed p2p (the
+/// halo form) splits by *group*, peeling off only the members whose hop tier
+/// or message arrival actually diverges. OS noise never splits: it moves the
+/// members' clocks into per-member arrays (MemberClocks) instead.
 struct SimClass {
     // Execution state (what RankState used to hold).
     std::size_t pc = 0;
@@ -123,6 +124,9 @@ struct SimClass {
     bool finished = false;
     bool queued = false;
     bool any_grant = false;  ///< quiescence grant for an ANY_SOURCE recv
+    /// MemberClocks slot; -1 = members agree (scalars). Kept on the first
+    /// cache line, beside the fields a collective's waiter update touches.
+    int clk = -1;
     // Class identity.
     const Program* prog = nullptr;
     std::uint32_t ctx = 0;   ///< ExecContext class (cost-memo row)
@@ -139,9 +143,24 @@ struct SimClass {
     // Per-member results, replicated to every member at the end. Summing the
     // replicas in ascending rank order reproduces the uncollapsed reductions
     // bit-exactly because each member would have produced the same values.
+    // Once clk >= 0, `time`, the time-derived stats and `phase` are frozen
+    // and the MemberClocks arrays hold each member's values; the counts,
+    // `injected_bytes` and `flops` never depend on time and stay here.
     RankStats stats;
     double flops = 0;
     std::vector<double> phase;  ///< compute seconds per interned PhaseId
+};
+
+/// Per-member clocks of a merged class whose members' times have diverged
+/// (OS noise, DESIGN.md §11.5). Every array is parallel to
+/// SimClass::members; `phase[id]` is one column of per-member compute
+/// seconds, empty for a label the class has not timed.
+struct MemberClocks {
+    std::vector<double> time;
+    std::vector<double> compute;
+    std::vector<double> recv_wait;
+    std::vector<double> coll_wait;
+    std::vector<std::vector<double>> phase;
 };
 
 enum class CollKind { none, allreduce, barrier, alltoall };
@@ -390,6 +409,108 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         phase_seen[id] = 1;
     };
 
+    // --- Per-member clocks (DESIGN.md §11.5) -------------------------------
+    // The OS-noise draw is keyed on the rank, so a merged class's members
+    // drift apart at its first noisy compute op. The class does not split:
+    // it keeps one pc, program and block state, and its members' times (with
+    // the stats and phase sums that follow from them) move into a
+    // MemberClocks slot. Each member then runs exactly the FP operations its
+    // singleton would, so results stay bit-identical. At os_noise == 0 no
+    // class ever gets a slot, and every op takes the scalar path: the
+    // member_* lambdas are kept out of line and their branches marked
+    // unlikely, so the scalar hot paths compile as they did without them.
+    const double os_noise = cost_.knobs().os_noise;
+    std::vector<MemberClocks> clocks;
+    // Give class s per-member clocks, every member starting from the shared
+    // scalar values. Only labels with time get a column: an absent column
+    // reads as 0, and adding 0 to a positive sum leaves its bits unchanged.
+    const auto diverge = [&](SimClass& s) {
+        const std::size_t k = s.members.size();
+        MemberClocks mc;
+        mc.time.assign(k, s.time);
+        mc.compute.assign(k, s.stats.compute);
+        mc.recv_wait.assign(k, s.stats.recv_wait);
+        mc.coll_wait.assign(k, s.stats.collective_wait);
+        mc.phase.resize(s.phase.size());
+        for (std::size_t id = 0; id < s.phase.size(); ++id) {
+            if (s.phase[id] != 0.0) mc.phase[id].assign(k, s.phase[id]);
+        }
+        s.clk = static_cast<int>(clocks.size());
+        clocks.push_back(std::move(mc));
+    };
+    // Hand the members at `idx` (ascending indices into mc) to class s: a
+    // group of one goes back to the scalar fields, a larger group gets its
+    // own slot.
+    const auto hand_members = [&](SimClass& s, const MemberClocks& mc,
+                                  const std::vector<std::uint32_t>& idx) {
+        if (idx.size() == 1) {
+            const std::uint32_t i = idx[0];
+            s.clk = -1;
+            s.time = mc.time[i];
+            s.stats.compute = mc.compute[i];
+            s.stats.recv_wait = mc.recv_wait[i];
+            s.stats.collective_wait = mc.coll_wait[i];
+            s.phase.assign(mc.phase.size(), 0.0);
+            for (std::size_t id = 0; id < mc.phase.size(); ++id) {
+                if (!mc.phase[id].empty()) s.phase[id] = mc.phase[id][i];
+            }
+            return;
+        }
+        const auto pick = [&](const std::vector<double>& v) {
+            std::vector<double> out;
+            out.reserve(idx.size());
+            for (const std::uint32_t i : idx) out.push_back(v[i]);
+            return out;
+        };
+        MemberClocks g;
+        g.time = pick(mc.time);
+        g.compute = pick(mc.compute);
+        g.recv_wait = pick(mc.recv_wait);
+        g.coll_wait = pick(mc.coll_wait);
+        g.phase.resize(mc.phase.size());
+        for (std::size_t id = 0; id < mc.phase.size(); ++id) {
+            if (!mc.phase[id].empty()) g.phase[id] = pick(mc.phase[id]);
+        }
+        s.clk = static_cast<int>(clocks.size());
+        clocks.push_back(std::move(g));
+    };
+    // One ComputeOp under noise for merged class ci: priced once, then each
+    // member stretches the price by its own draw — the expression the
+    // singleton path evaluates, so every member's bits match.
+    const auto member_compute = [&](std::uint32_t ci,
+                                    const ComputeOp& c) __attribute__((noinline)) {
+        SimClass& s = cls[ci];
+        if (s.clk < 0) diverge(s);
+        MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
+        const arch::ComputePhase& phase = s.prog->phase_of(c);
+        const double dt = price_compute(c, phase, s.ctx);
+        const PhaseId label_id = s.mark_id != kNoPhase ? s.mark_id : c.label_id;
+        if (label_id >= phase_seen.size()) phase_seen.resize(label_id + 1, 0);
+        phase_seen[label_id] = 1;
+        if (label_id >= mc.phase.size()) mc.phase.resize(label_id + 1);
+        std::vector<double>& col = mc.phase[label_id];
+        if (col.empty()) col.assign(s.members.size(), 0.0);
+        for (std::size_t i = 0; i < s.members.size(); ++i) {
+            const double d =
+                dt * (1.0 + os_noise * noise_sample(s.members[i], s.pc));
+            mc.time[i] += d;
+            mc.compute[i] += d;
+            col[i] += d;
+        }
+        s.flops += phase.flops;
+        ++s.pc;
+    };
+    // Collective completion for every member of a class with clocks: the
+    // singleton's wait and clock update, member by member.
+    const auto member_sync = [&](SimClass& s,
+                                 double completion) __attribute__((noinline)) {
+        MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
+        for (std::size_t i = 0; i < mc.time.size(); ++i) {
+            mc.coll_wait[i] += completion - mc.time[i];
+            mc.time[i] = completion;
+        }
+    };
+
     // P2p state — per-rank home nodes and mailboxes — is materialised lazily
     // on the first SendOp, so purely collective/compute workloads (the ones
     // that stay collapsed) never allocate O(total ranks) arrays for it.
@@ -491,22 +612,21 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
 
     // Split accounting: every split event is attributed to the op kind that
     // broke the symmetry (bench_engine reports the breakdown).
-    enum class SplitWhy { p2p, noise, placement };
+    enum class SplitWhy { p2p, placement };
     const auto count_split = [&](SplitWhy why) {
         ++result.collapse_splits;
         switch (why) {
             case SplitWhy::p2p: ++result.collapse_split_p2p; break;
-            case SplitWhy::noise: ++result.collapse_split_noise; break;
             case SplitWhy::placement: ++result.collapse_split_placement; break;
         }
     };
 
     // Full split: the moment class ci's next op could distinguish members
-    // per rank — an absolute-addressed p2p op, or a ComputeOp under nonzero
-    // os_noise (the noise draw is rank-keyed) — every member except the
+    // per rank — an absolute-addressed p2p op — every member except the
     // representative peels off into a singleton inheriting the shared state
-    // verbatim. Members have been bit-identical up to here by induction, so
-    // the inherited state *is* each member's uncollapsed state. New
+    // verbatim. Members have shared their control flow up to here by
+    // induction, so the inherited state *is* each member's uncollapsed state
+    // (with its own clocks, when the class has per-member clocks). New
     // singletons enqueue in ascending member order; collectives never split
     // (their effect on every waiter is symmetric) and MarkOps are per-class.
     // Relative-addressed p2p takes the *grouped* split below instead.
@@ -516,6 +636,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         cls[ci].size = 1;
         count_split(why);
         const SimClass base = cls[ci];  // state snapshot (members already cut)
+        const std::size_t first = cls.size();
         for (std::size_t i = 1; i < members.size(); ++i) {
             SimClass s = base;
             s.rep = members[i];
@@ -524,6 +645,14 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 static_cast<std::uint32_t>(cls.size());
             runnable.push_back(static_cast<std::uint32_t>(cls.size()));
             cls.push_back(std::move(s));
+        }
+        if (base.clk >= 0) {
+            const MemberClocks mc = std::move(clocks[static_cast<std::size_t>(base.clk)]);
+            std::vector<std::uint32_t> idx(1);
+            for (std::uint32_t i = 0; i < members.size(); ++i) {
+                idx[0] = i;
+                hand_members(cls[i == 0 ? ci : first + i - 1], mc, idx);
+            }
         }
         // cls[ci] keeps members[0] == its rep; it is already dequeued and
         // continues executing the op that triggered the split.
@@ -633,6 +762,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
         cls[ci].size = static_cast<int>(cls[ci].members.size());
         const SimClass base = cls[ci];  // snapshot after trimming members
+        const std::size_t first = cls.size();
         for (std::size_t g = 1; g < order.size(); ++g) {
             SimClass s = base;
             s.members.clear();
@@ -648,6 +778,18 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             }
             runnable.push_back(nc);
             cls.push_back(std::move(s));
+        }
+        if (base.clk >= 0) {
+            // Partition the per-member clocks the way `members` was.
+            const MemberClocks mc = std::move(clocks[static_cast<std::size_t>(base.clk)]);
+            std::vector<std::uint32_t> idx;
+            for (std::size_t g = 0; g < order.size(); ++g) {
+                idx.clear();
+                for (std::uint32_t i = 0; i < members.size(); ++i) {
+                    if (glabels[i] == order[g]) idx.push_back(i);
+                }
+                hand_members(cls[g == 0 ? ci : first + g - 1], mc, idx);
+            }
         }
     };
 
@@ -739,6 +881,45 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         return {any, all};
     };
 
+    // Relative send and fully matched relative receive for a class with
+    // per-member clocks: the tier and price are shared, but each member
+    // stamps its own arrival, advances its own clock and adds its own wait —
+    // the singleton's expressions, member by member. Such a class never
+    // splits on completion time.
+    const auto member_send = [&](SimClass& s, const SendOp& snd,
+                                 double p2p) __attribute__((noinline)) {
+        MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
+        const double inject = np.msg_overhead_s + snd.bytes / np.injection_bw;
+        s.stats.injected_bytes += snd.bytes;
+        ++s.stats.msgs_sent;
+        for (std::size_t i = 0; i < s.members.size(); ++i) {
+            const int m = s.members[i];
+            const int dst = m + snd.dst;
+            qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], m)]
+                .push_back(Message{m, snd.tag, mc.time[i] + p2p});
+            mc.time[i] += inject;
+            if (recv_waiting_at(dst)) {
+                wake(cls_of[static_cast<std::size_t>(dst)]);
+            }
+        }
+        ++s.pc;
+    };
+    const auto member_recv = [&](SimClass& s) __attribute__((noinline)) {
+        MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
+        for (std::size_t i = 0; i < rel_hits.size(); ++i) {
+            const RelHit& h = rel_hits[i];
+            qarena[h.slot].consume(h.idx);
+            if (h.arrival > mc.time[i]) {
+                mc.recv_wait[i] += h.arrival - mc.time[i];
+                mc.time[i] = h.arrival;
+            }
+        }
+        ++s.stats.msgs_received;
+        s.blocked = BlockKind::none;
+        for (const int m : s.members) clr_recv_wait(m);
+        ++s.pc;
+    };
+
     // Execute one relative SendOp for class ci (any size). Every member m
     // sends to m + delta at the same class time with the same bytes, so with
     // a uniform hop tier the price — and the sender-side time advance — is
@@ -748,7 +929,9 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // forensics against merged senders need no special handling). When the
     // tier differs across members (node-edge members of a block placement)
     // the class group-splits by tier with pc unmoved instead, and the caller
-    // re-dispatches the now-uniform subgroups.
+    // re-dispatches the now-uniform subgroups. A class with per-member
+    // clocks shares the tier and price but stamps each member's own
+    // arrival (member_send).
     const auto rel_send_exec = [&](std::uint32_t ci, const SendOp& snd) {
         ensure_p2p();
         {
@@ -791,6 +974,10 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
         auto& s = cls[ci];
         const double p2p = tier_price(tier, snd.bytes);
+        if (s.clk >= 0) [[unlikely]] {
+            member_send(s, snd, p2p);
+            return;
+        }
         const double arrival = s.time + p2p;
         const double inject = np.msg_overhead_s + snd.bytes / np.injection_bw;
         s.time += inject;
@@ -810,7 +997,8 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // Execute one relative RecvOp for class ci (any size). Each member m
     // matches its own (m + delta -> m) FIFO exactly as a singleton would;
     // the class advances merged only when every member has a match and all
-    // completion times agree bit-for-bit. A *partial* match blocks rather
+    // completion times agree bit-for-bit — or, with per-member clocks, as
+    // soon as every member has a match. A *partial* match blocks rather
     // than splits: an explicit-source FIFO match is fixed once present, so
     // waiting for the stragglers' senders is schedule-equivalent, and the
     // transient rounds where some members' senders simply have not run yet
@@ -838,6 +1026,10 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             each_member(s, [&](int m) { set_recv_wait(m); });
             return true;
         }
+        if (s.clk >= 0) [[unlikely]] {
+            member_recv(s);
+            return false;
+        }
         bool uniform = true;
         for (const std::uint64_t l : glabels) uniform = uniform && l == glabels[0];
         if (!uniform) {
@@ -863,7 +1055,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     };
     // -----------------------------------------------------------------------
 
-    const double os_noise = cost_.knobs().os_noise;
     // Schedule perturbation (sim::check): any nonzero seed permutes every
     // order-free choice the engine makes — the runnable pop order, the
     // quiescence resolver's scan order, and the order a completed
@@ -897,9 +1088,17 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                     if (!got_any) continue;
                     const auto ci = static_cast<std::uint32_t>(i);
                     if (!got_all) {
+                        if (s.clk >= 0) {
+                            // Per-member clocks complete each member on its
+                            // own: group by match state only.
+                            for (std::uint64_t& l : glabels) {
+                                if (l != kNoMatch) l = 0;
+                            }
+                        }
                         split_groups(ci, SplitWhy::p2p);
-                        // Matched groups re-execute the receive on wake (and
-                        // may split further by completion time there); the
+                        // Matched groups re-execute the receive on wake (a
+                        // shared-clock group may split further by completion
+                        // time there); the
                         // unmatched group stays blocked. split_groups already
                         // enqueued the peeled groups — only the in-place one
                         // needs an explicit wake when it matched.
@@ -1021,7 +1220,8 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             // Relative-addressed p2p is the exception: a merged class
             // executes it in place while the op is provably
             // timing-equivalent across members, group-splitting (not to
-            // singletons) exactly where the symmetry breaks.
+            // singletons) exactly where the symmetry breaks. A noisy
+            // ComputeOp runs merged on per-member clocks.
             if (cls[ci].size > 1) {
                 const Op& op0 = ops_data[cls[ci].pc];
                 const std::size_t t = op0.index();
@@ -1039,8 +1239,9 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                         continue;
                     }
                     split_class(ci, SplitWhy::p2p);
-                } else if (t == 0 && os_noise > 0) {
-                    split_class(ci, SplitWhy::noise);
+                } else if (t == 0 && os_noise > 0) [[unlikely]] {
+                    member_compute(ci, *std::get_if<ComputeOp>(&op0));
+                    continue;
                 }
             }
             auto& s = cls[ci];
@@ -1126,7 +1327,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 const arch::ComputePhase& phase = prog.phase_of(*c);
                 double dt = price_compute(*c, phase, s.ctx);
                 if (os_noise > 0) {
-                    // Rank-keyed draw — the split above guarantees size == 1.
+                    // Rank-keyed draw: merged classes take member_compute.
                     dt *= 1.0 + os_noise * noise_sample(r, s.pc);
                 }
                 const PhaseId label_id =
@@ -1163,10 +1364,16 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                                "collective mismatch: ranks disagree on op " +
                                    std::to_string(ord));
                 ++s.coll_count;
-                // A collapsed class enters on behalf of all its members at
-                // one shared time: `arrived` advances by the member count and
-                // max_time sees the one value every member would contribute.
-                coll.max_time = std::max(coll.max_time, s.time);
+                // A collapsed class enters on behalf of all its members:
+                // `arrived` advances by the member count and max_time sees
+                // every member's time (one shared value while they agree).
+                if (s.clk < 0) [[likely]] {
+                    coll.max_time = std::max(coll.max_time, s.time);
+                } else {
+                    for (const double t : clocks[static_cast<std::size_t>(s.clk)].time) {
+                        coll.max_time = std::max(coll.max_time, t);
+                    }
+                }
                 coll.arrived += s.size;
                 if (coll.arrived == n) {
                     coll.completion =
@@ -1189,8 +1396,12 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                             trace->add({ws.rep, SpanKind::collective, "", ws.time,
                                         coll.completion});
                         }
-                        ws.stats.collective_wait += coll.completion - ws.time;
-                        ws.time = coll.completion;
+                        if (ws.clk >= 0) [[unlikely]] {
+                            member_sync(ws, coll.completion);
+                        } else {
+                            ws.stats.collective_wait += coll.completion - ws.time;
+                            ws.time = coll.completion;
+                        }
                         ws.blocked = BlockKind::none;
                         ++ws.pc;
                         ws.queued = true;
@@ -1200,8 +1411,12 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                         trace->add({r, SpanKind::collective, "", s.time,
                                     coll.completion});
                     }
-                    stats.collective_wait += coll.completion - s.time;
-                    s.time = coll.completion;
+                    if (s.clk >= 0) [[unlikely]] {
+                        member_sync(s, coll.completion);
+                    } else {
+                        stats.collective_wait += coll.completion - s.time;
+                        s.time = coll.completion;
+                    }
                     ++s.pc;
                 } else {
                     coll.waiters.push_back(ci);
@@ -1229,7 +1444,9 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // keeps million-rank worlds in a handful of runs): the per-rank adds
     // stay — `acc += v` n times is NOT `acc += n * v`, FP addition does not
     // distribute — but the cls_of chase and bounds checks are hoisted per
-    // run, which is most of what the 10^6-rank rows used to pay here.
+    // run, which is most of what the 10^6-rank rows used to pay here. A
+    // class with per-member clocks writes each member's own values instead,
+    // and its phase sums are added rank by rank.
     std::vector<std::pair<int, std::uint32_t>> rank_runs;  // (first rank, class)
     for (int r = 0; r < n;) {
         const std::uint32_t ci = cls_of[static_cast<std::size_t>(r)];
@@ -1241,12 +1458,32 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         return k + 1 < rank_runs.size() ? rank_runs[k + 1].first : n;
     };
     result.ranks.resize(static_cast<std::size_t>(n));
+    // Index of each run's first rank in its class's `members` (read only for
+    // classes with per-member clocks).
+    std::vector<std::size_t> run_member(rank_runs.size(), 0);
     for (std::size_t k = 0; k < rank_runs.size(); ++k) {
         const auto [r0, ci] = rank_runs[k];
         const int end = run_end(k);
         const SimClass& c = cls[ci];
-        std::fill(result.ranks.begin() + r0, result.ranks.begin() + end, c.stats);
-        result.makespan = std::max(result.makespan, c.stats.finish);
+        if (c.clk < 0) {
+            std::fill(result.ranks.begin() + r0, result.ranks.begin() + end, c.stats);
+            result.makespan = std::max(result.makespan, c.stats.finish);
+        } else {
+            const MemberClocks& mc = clocks[static_cast<std::size_t>(c.clk)];
+            std::size_t i = static_cast<std::size_t>(
+                std::lower_bound(c.members.begin(), c.members.end(), r0) -
+                c.members.begin());
+            run_member[k] = i;
+            for (int r = r0; r < end; ++r, ++i) {
+                RankStats& st = result.ranks[static_cast<std::size_t>(r)];
+                st = c.stats;
+                st.finish = mc.time[i];
+                st.compute = mc.compute[i];
+                st.recv_wait = mc.recv_wait[i];
+                st.collective_wait = mc.coll_wait[i];
+                result.makespan = std::max(result.makespan, st.finish);
+            }
+        }
         // add_repeat IS `acc += v`, end - r0 times, in fl arithmetic — the
         // n-step sequence fast-forwarded binade by binade (util/fpadd.hpp).
         result.total_flops =
@@ -1256,7 +1493,15 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         if (!phase_seen[id]) continue;
         double acc = 0.0;
         for (std::size_t k = 0; k < rank_runs.size(); ++k) {
-            const auto& per = cls[rank_runs[k].second].phase;
+            const SimClass& c = cls[rank_runs[k].second];
+            if (c.clk >= 0) {
+                const auto& cols = clocks[static_cast<std::size_t>(c.clk)].phase;
+                if (id >= cols.size() || cols[id].empty()) continue;
+                const double* v = cols[id].data() + run_member[k];
+                for (int j = 0; j < run_end(k) - rank_runs[k].first; ++j) acc += v[j];
+                continue;
+            }
+            const auto& per = c.phase;
             if (id >= per.size()) continue;  // no entry: the old loop skipped
             acc = util::fp::add_repeat(acc, per[id],
                                        run_end(k) - rank_runs[k].first);

@@ -28,9 +28,10 @@
 //
 // Scale (DESIGN.md §11): ranks sharing one Program object (ProgramBundle)
 // and one ExecContext class execute as ONE simulation class — the engine
-// runs O(classes) state machines, not O(ranks), and splits a class into
-// singletons lazily the moment an op could break the symmetry (p2p ops,
-// noise-stretched compute). Splitting is exact, so collapsed results are
+// runs O(classes) state machines, not O(ranks), and splits a class lazily
+// the moment an op could break its shared control flow (p2p ops). OS noise
+// does not split: members keep their own clocks (§11.5). Splitting is
+// exact, so collapsed results are
 // bit-identical to RunOptions::collapse = false; million-rank SPMD
 // workloads simulate in roughly the footprint of a 64-rank one.
 //
@@ -85,8 +86,8 @@ struct RunOptions {
     /// Rank-equivalence collapse (DESIGN.md §11): ranks sharing one Program
     /// object (ProgramBundle) and one ExecContext class execute as one
     /// simulation class until an op breaks the symmetry. Absolute p2p ops
-    /// and noise-stretched compute shatter the class into per-rank
-    /// singletons; relative-addressed p2p (§11.4 — what the simmpi halo
+    /// shatter the class into per-rank singletons; OS noise keeps it merged
+    /// on per-member clocks (§11.5); relative-addressed p2p (§11.4 — what the simmpi halo
     /// helpers emit) stays merged while hop tiers and match arrivals agree
     /// across members, and group-splits into per-signature subclasses where
     /// they genuinely differ, so a Cartesian halo interior runs as O(surface)
@@ -109,10 +110,11 @@ struct RunResult {
     /// with (initial classes plus every class a split created — equal to the
     /// initial count when nothing split); `collapse_splits` counts split
     /// events, broken down by cause: `split_p2p` (absolute-addressed p2p op,
-    /// wildcard recv, or relative-recv arrival asymmetry), `split_noise`
-    /// (rank-keyed OS-noise draw on a compute op), `split_placement`
+    /// wildcard recv, or relative-recv arrival asymmetry), `split_placement`
     /// (relative send whose hop distance differs across members — node-edge
-    /// effects of the Placement).
+    /// effects of the Placement). `split_noise` is always 0: OS noise keeps
+    /// a class merged on per-member clocks (DESIGN.md §11.5). It stays
+    /// because perfbench reads it.
     int collapse_classes = 0;
     int collapse_splits = 0;
     int collapse_split_p2p = 0;

@@ -29,17 +29,6 @@ public:
         return q_.size();
     }
 
-    /// Enqueue one item iff it fits; false when full or closed.
-    bool try_push(T item) {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (closed_ || q_.size() >= capacity_) return false;
-            q_.push_back(std::move(item));
-        }
-        cv_.notify_one();
-        return true;
-    }
-
     /// Enqueue every item or none: false (nothing enqueued) when the batch
     /// does not fit in the remaining capacity or the queue is closed.
     bool try_push_all(std::vector<T> items) {

@@ -3,9 +3,27 @@
 #include "util/error.hpp"
 #include "util/str.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace armstice::util {
+namespace {
+
+/// Parse `text` as a base-10 integer in [lo, hi] with nothing before or
+/// after it. Throws util::Error naming `what` on an empty, malformed,
+/// overflowing or out-of-range value.
+int parse_int(const std::string& text, int lo, int hi, const std::string& what) {
+    long long v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end || v < lo || v > hi) {
+        throw Error(format("%s expects an integer in [%d, %d], got '%s'", what.c_str(),
+                           lo, hi, text.c_str()));
+    }
+    return static_cast<int>(v);
+}
+
+} // namespace
 
 Cli::Cli(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -80,6 +98,10 @@ long Cli::get_long(const std::string& name) const {
     return out;
 }
 
+int Cli::get_int(const std::string& name, int lo, int hi) const {
+    return parse_int(get(name), lo, hi, "option --" + name);
+}
+
 double Cli::get_double(const std::string& name) const {
     const std::string v = get(name);
     char* end = nullptr;
@@ -89,15 +111,13 @@ double Cli::get_double(const std::string& name) const {
     return out;
 }
 
-int jobs_from_args(int& argc, char** argv, int fallback) {
-    auto parse_jobs = [](const std::string& v) {
-        char* end = nullptr;
-        const long jobs = std::strtol(v.c_str(), &end, 10);
-        ARMSTICE_CHECK(end != nullptr && *end == '\0' && !v.empty() && jobs >= 1,
-                       "--jobs expects a positive integer, got '" + v + "'");
-        return static_cast<int>(jobs);
-    };
+int env_jobs() {
+    const char* env = std::getenv("ARMSTICE_JOBS");
+    if (env == nullptr || *env == '\0') return 0;
+    return parse_int(env, 1, kMaxJobs, "ARMSTICE_JOBS");
+}
 
+int jobs_from_args(int& argc, char** argv, int fallback) {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         std::string value;
@@ -115,12 +135,11 @@ int jobs_from_args(int& argc, char** argv, int fallback) {
         for (int j = i + consumed; j < argc; ++j) argv[j - consumed] = argv[j];
         argc -= consumed;
         argv[argc] = nullptr;
-        return parse_jobs(value);
+        return parse_int(value, 1, kMaxJobs, "--jobs");
     }
 
-    const char* env = std::getenv("ARMSTICE_JOBS");
-    if (env != nullptr && *env != '\0') return parse_jobs(env);
-    return fallback;
+    const int env = env_jobs();
+    return env >= 1 ? env : fallback;
 }
 
 std::string cache_dir_from_args(int& argc, char** argv) {

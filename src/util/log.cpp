@@ -6,7 +6,6 @@
 namespace armstice::util {
 namespace {
 
-LogLevel g_level = LogLevel::warn;
 std::function<void(LogLevel, const std::string&)> g_sink;
 std::mutex g_mutex;
 
@@ -23,16 +22,13 @@ const char* level_name(LogLevel level) {
 
 } // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
-
 void set_log_sink(std::function<void(LogLevel, const std::string&)> sink) {
     std::lock_guard<std::mutex> lock(g_mutex);
     g_sink = std::move(sink);
 }
 
 void log(LogLevel level, const std::string& msg) {
-    if (level < g_level) return;
+    if (level < LogLevel::warn) return;
     std::lock_guard<std::mutex> lock(g_mutex);
     if (g_sink) {
         g_sink(level, msg);

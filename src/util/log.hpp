@@ -10,19 +10,13 @@ namespace armstice::util {
 
 enum class LogLevel { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
 
-/// Process-wide log threshold; messages below it are dropped.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
 /// Replace the sink (used by tests to capture output). The sink receives the
 /// already-formatted line without a trailing newline.
 void set_log_sink(std::function<void(LogLevel, const std::string&)> sink);
 
+/// Emit `msg` at `level`; messages below LogLevel::warn are dropped.
 void log(LogLevel level, const std::string& msg);
 
-inline void log_debug(const std::string& msg) { log(LogLevel::debug, msg); }
-inline void log_info(const std::string& msg) { log(LogLevel::info, msg); }
 inline void log_warn(const std::string& msg) { log(LogLevel::warn, msg); }
-inline void log_error(const std::string& msg) { log(LogLevel::error, msg); }
 
 } // namespace armstice::util

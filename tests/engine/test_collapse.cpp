@@ -1,8 +1,10 @@
 // Rank-equivalence collapse (DESIGN.md §11): collapsed runs must be
 // bit-identical to uncollapsed runs and to RefEngine, classes must form on
 // (shared program, ExecContext class) and split exactly when an op can break
-// the symmetry — p2p ops, noise-stretched compute, placement asymmetry, and
-// ANY_SOURCE arrival races are each pinned by a directed case below.
+// the symmetry — p2p ops, placement asymmetry, and ANY_SOURCE arrival races
+// are each pinned by a directed case below. OS noise never splits: a merged
+// class keeps per-member clocks (§11.5), and the cases at the end hand those
+// clocks through every split and collective path.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -88,10 +90,10 @@ TEST(Collapse, FigWorkloadsBitIdenticalOnOffAndPerturbedAtScale) {
         EXPECT_BITEQ(collapsed, flat, "collapse on vs off at " << ranks);
         EXPECT_BITEQ(collapsed, per_rank, "bundle vs vector at " << ranks);
         EXPECT_EQ(flat.collapse_classes, ranks);
-        // The relative-addressed ring halo shares one interior program, but
-        // default knobs carry os_noise > 0 so the classes shatter at the
-        // first compute — the engine must agree with itself bit-for-bit
-        // regardless of how far the collapse carries.
+        // The relative-addressed ring halo shares one interior program, and
+        // default knobs carry os_noise > 0, so the merged classes run on
+        // per-member clocks after the first compute — the engine must agree
+        // with itself bit-for-bit regardless of how far the collapse carries.
         for (std::uint64_t seed : {0xc011a95eULL, 0x5eedULL}) {
             as::RunOptions opts;
             opts.perturb_seed = seed;
@@ -143,23 +145,43 @@ TEST(Collapse, PureSpmdCollapsesToContextClassesUnderZeroNoise) {
     EXPECT_BITEQ(collapsed, flat, "collapsed vs flat");
 }
 
-TEST(Collapse, OsNoiseForcesComputeSplit) {
-    // Default knobs carry os_noise > 0 and the noise draw is keyed on the
-    // rank, so a collapsed class must shatter at its first ComputeOp.
-    const int ranks = 64;
-    const auto eng = make_engine(ranks, 1);
-    am::ProgramSet ps(ranks);
-    ps.compute(phase("noisy", 1.0e7, 5.0e7));
-    ps.allreduce(8);
-    const auto bundle = ps.take_bundle();
+/// Bit-identity of a noisy run against collapse-off, RefEngine and two
+/// perturbed schedules.
+void expect_noisy_invariant(const as::Engine& eng, const as::RefEngine& ref,
+                            const as::RunResult& collapsed,
+                            const std::vector<as::Program>& progs,
+                            const char* what) {
+    const auto bundle = as::ProgramBundle::from(progs);
+    EXPECT_BITEQ(collapsed, eng.run(bundle, no_collapse()), what << ": on/off");
+    EXPECT_BITEQ(collapsed, ref.run(progs), what << ": vs RefEngine");
+    for (std::uint64_t seed : {0x7e57ULL, 0xc10c5ULL}) {
+        as::RunOptions opts;
+        opts.perturb_seed = seed;
+        EXPECT_BITEQ(collapsed, eng.run(bundle, opts), what << ": perturbed");
+    }
+}
 
-    const auto collapsed = eng.run(bundle);
-    // collapse_classes is the END-of-run count: the single initial class
-    // shatters into per-rank singletons at the noisy compute op.
-    EXPECT_EQ(collapsed.collapse_classes, ranks);
-    EXPECT_EQ(collapsed.collapse_splits, 1);
-    EXPECT_EQ(collapsed.collapse_split_noise, 1);
-    EXPECT_BITEQ(collapsed, eng.run(bundle, no_collapse()), "noise split");
+TEST(Collapse, OsNoiseKeepsSpmdClassMerged) {
+    // Default knobs carry os_noise > 0 and the noise draw is keyed on the
+    // rank, so members' clocks differ after the first ComputeOp. The class
+    // keeps them per member instead of splitting: the run ends with the one
+    // class it started with, and every rank still gets its own bits.
+    const int ranks = 64;
+    const auto placement = as::Placement::block(aa::fulhame().node, 1, ranks, 1);
+    const as::Engine eng(aa::fulhame(), placement, 0.8);
+    const as::RefEngine ref(aa::fulhame(), placement, 0.8);
+    as::Program spmd;
+    spmd.compute(phase("noisy", 1.0e7, 5.0e7));
+    spmd.allreduce(8);
+    const std::vector<as::Program> progs(static_cast<std::size_t>(ranks), spmd);
+
+    const auto collapsed = eng.run(as::ProgramBundle::from(progs));
+    EXPECT_EQ(collapsed.collapse_classes, 1);
+    EXPECT_EQ(collapsed.collapse_splits, 0);
+    EXPECT_EQ(collapsed.collapse_split_noise, 0);
+    EXPECT_NE(std::bit_cast<std::uint64_t>(collapsed.ranks[0].compute),
+              std::bit_cast<std::uint64_t>(collapsed.ranks[1].compute));
+    expect_noisy_invariant(eng, ref, collapsed, progs, "noisy SPMD");
 }
 
 TEST(Collapse, SharedRingSplitsOnFirstSend) {
@@ -284,6 +306,78 @@ TEST(Collapse, HundredThousandRankSpmdSmoke) {
     EXPECT_LE(collapsed.collapse_classes, 2);  // full nodes + one partial
     EXPECT_GT(collapsed.makespan, 0.0);
     EXPECT_BITEQ(collapsed, eng.run(bundle, no_collapse()), "100k on/off");
+}
+
+TEST(Collapse, NoisyClassHandsClocksToAbsoluteAndWildcardSplits) {
+    // Two merged classes run a noisy compute first, so each carries
+    // per-member clocks when its first absolute p2p op arrives. Ranks 1..7
+    // send to rank 0 (an absolute send: full split); ranks 8..15 post an
+    // ANY_SOURCE receive (a wildcard: full split). Each new singleton must
+    // start from its own member's clock — rank 0's wildcard matches order
+    // by those arrival times, so a wrong hand-off changes the result.
+    const int ranks = 16;
+    const auto placement = as::Placement::block(aa::fulhame().node, 1, ranks, 1);
+    const as::Engine eng(aa::fulhame(), placement, 0.8);
+    const as::RefEngine ref(aa::fulhame(), placement, 0.8);
+    std::vector<as::Program> progs(static_cast<std::size_t>(ranks));
+    as::Program sender;
+    sender.compute(phase("pre", 2.0e6, 1.0e7));
+    sender.send(0, 1024.0, /*tag=*/3);
+    sender.recv(0, /*tag=*/4);
+    as::Program waiter;
+    waiter.compute(phase("pre", 2.0e6, 1.0e7));
+    waiter.recv(as::kAnySource, /*tag=*/5);
+    progs[0].compute(phase("root", 1.0e6, 1.0e7));
+    for (int r = 1; r < 8; ++r) {
+        progs[static_cast<std::size_t>(r)] = sender;
+        progs[0].recv(as::kAnySource, /*tag=*/3);
+    }
+    for (int r = 1; r < 8; ++r) progs[0].send(r, 64.0, /*tag=*/4);
+    for (int r = 8; r < ranks; ++r) {
+        progs[static_cast<std::size_t>(r)] = waiter;
+        progs[0].send(r, 64.0, /*tag=*/5);
+    }
+    std::vector<std::uint32_t> of(static_cast<std::size_t>(ranks), 1);
+    of[0] = 0;
+    for (int r = 8; r < ranks; ++r) of[static_cast<std::size_t>(r)] = 2;
+    const auto bundle = as::ProgramBundle::classes({progs[0], sender, waiter}, of);
+
+    const auto collapsed = eng.run(bundle);
+    EXPECT_EQ(collapsed.collapse_classes, ranks);
+    EXPECT_EQ(collapsed.collapse_splits, 2);
+    EXPECT_EQ(collapsed.collapse_split_p2p, 2);
+    expect_noisy_invariant(eng, ref, collapsed, progs, "abs/wildcard hand-off");
+}
+
+TEST(Collapse, NoisyCollectiveSyncsDivergedMemberClocks) {
+    // 130 ranks on 3 nodes (44, 44 and 42 per node) make a few merged
+    // ExecContext classes, so merged classes with diverged clocks wait in
+    // the collective while another completes it. Every member must take the
+    // completion time and add its own wait, and nothing splits.
+    const int ranks = 130;
+    const auto placement = as::Placement::block(aa::fulhame().node, 3, ranks, 1);
+    const as::Engine eng(aa::fulhame(), placement, 0.8);
+    const as::RefEngine ref(aa::fulhame(), placement, 0.8);
+    std::vector<as::Program> progs(static_cast<std::size_t>(ranks));
+    for (auto& p : progs) {
+        p.compute(phase("stage1", 1.0e7, 5.0e7));
+        p.allreduce(8);
+        p.compute(phase("stage2", 2.0e6, 1.0e7));
+        p.barrier();
+        p.compute(phase("stage1", 1.0e7, 5.0e7));
+    }
+    const auto bundle = as::ProgramBundle::from(progs);
+    aa::ModelKnobs knobs;
+    knobs.os_noise = 0.0;
+    const auto quiet = as::Engine(aa::fulhame(), placement, 0.8, knobs).run(bundle);
+    ASSERT_GE(quiet.collapse_classes, 2);
+    ASSERT_LE(quiet.collapse_classes * 8, ranks);
+    const auto collapsed = eng.run(bundle);
+    EXPECT_EQ(collapsed.collapse_classes, quiet.collapse_classes);
+    EXPECT_EQ(collapsed.collapse_splits, 0);
+    EXPECT_NE(std::bit_cast<std::uint64_t>(collapsed.ranks[0].collective_wait),
+              std::bit_cast<std::uint64_t>(collapsed.ranks[1].collective_wait));
+    expect_noisy_invariant(eng, ref, collapsed, progs, "diverged collective");
 }
 
 TEST(TieredP2p, EngineMatchesRefEngineAcrossTheOldTableCutoff) {

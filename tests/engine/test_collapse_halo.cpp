@@ -5,7 +5,9 @@
 // (interior merged, only genuine symmetry breaks split), the split
 // correctness at torus wraps and node-edge hop-tier changes, and the hard
 // contract: bit-identical to collapse-off, RefEngine, and every perturbed
-// schedule, at any checker job count.
+// schedule, at any checker job count. The shape cases run twice: with
+// os_noise = 0, and at default knobs, where merged classes carry per-member
+// clocks (§11.5) and must end with no more classes than the quiet run.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -36,19 +38,18 @@ aa::ComputePhase phase(const char* label, double flops, double bytes) {
     return p;
 }
 
-/// Rank-keyed OS noise shatters every class at the first compute op, which
-/// would drown the halo-collapse signal these tests are about; the noisy
-/// interaction is pinned separately in test_collapse.cpp.
+/// OS noise off: completion times agree across members, so every split the
+/// quiet run makes is placement or arrival geometry.
 aa::ModelKnobs quiet() {
     aa::ModelKnobs knobs;
     knobs.os_noise = 0.0;
     return knobs;
 }
 
-as::Engine make_engine(int ranks, int nodes) {
+as::Engine make_engine(int ranks, int nodes, aa::ModelKnobs knobs = quiet()) {
     return {aa::fulhame(),
             as::Placement::block(aa::fulhame().node, nodes, ranks, 1), 0.8,
-            quiet()};
+            knobs};
 }
 
 as::RunOptions no_collapse() {
@@ -97,22 +98,51 @@ void expect_invariant(const as::Engine& eng, const as::RunResult& collapsed,
     }
 }
 
+/// Run one halo case with os_noise = 0 and again at default knobs. Each run
+/// must be bit-identical to collapse-off, RefEngine and perturbed schedules,
+/// and must satisfy the case's own `check`; the noisy run must end with no
+/// more classes than the quiet one (per-member clocks never split a class
+/// on a noise draw or on a completion time).
+template <class Check>
+void quiet_and_noisy(int ranks, int nodes, const as::ProgramBundle& bundle,
+                     const char* what, Check&& check) {
+    int quiet_classes = 0;
+    for (const bool noisy : {false, true}) {
+        SCOPED_TRACE(noisy ? "default knobs" : "os_noise = 0");
+        const aa::ModelKnobs knobs = noisy ? aa::ModelKnobs{} : quiet();
+        const auto eng = make_engine(ranks, nodes, knobs);
+        const as::RefEngine ref(
+            aa::fulhame(), as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
+            0.8, knobs);
+        const auto collapsed = eng.run(bundle);
+        EXPECT_EQ(collapsed.collapse_split_noise, 0);
+        check(eng, collapsed);
+        expect_invariant(eng, collapsed, bundle, what);
+        EXPECT_BITEQ(collapsed, ref.run(bundle), what << ": vs RefEngine");
+        if (noisy) {
+            EXPECT_LE(collapsed.collapse_classes, quiet_classes) << what;
+        } else {
+            quiet_classes = collapsed.collapse_classes;
+        }
+    }
+}
+
 TEST(CollapseHalo, RingInteriorStaysMergedThroughP2p) {
     // 256 ranks on 4 nodes. In relative form the ring has three program
     // shapes (interior ±1, the two wrap ranks), and the interior class only
     // group-splits where the +1/-1 hop tier changes at a node edge — a
     // handful of classes, not one per rank.
     const int ranks = 256;
-    const auto eng = make_engine(ranks, 4);
     const auto bundle = halo_app(ring_neighbors(ranks), /*iters=*/3).take_bundle();
-
-    const auto collapsed = eng.run(bundle);
-    EXPECT_LE(collapsed.collapse_classes, 16);
-    // Node-edge hop-tier changes are placement geometry, counted as such.
-    EXPECT_GE(collapsed.collapse_split_placement, 1);
-    EXPECT_EQ(collapsed.collapse_split_noise, 0);
-    EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes, ranks);
-    expect_invariant(eng, collapsed, bundle, "ring 256");
+    quiet_and_noisy(ranks, 4, bundle, "ring 256",
+                    [&](const as::Engine& eng, const as::RunResult& collapsed) {
+                        EXPECT_LE(collapsed.collapse_classes, 16);
+                        // Node-edge hop-tier changes are placement geometry,
+                        // counted as such.
+                        EXPECT_GE(collapsed.collapse_split_placement, 1);
+                        EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes,
+                                  ranks);
+                    });
 }
 
 TEST(CollapseHalo, Torus2DWrapRanksSplitInteriorMerges) {
@@ -121,15 +151,13 @@ TEST(CollapseHalo, Torus2DWrapRanksSplitInteriorMerges) {
     const int ranks = 256;
     const auto dims = am::dims_create(ranks, 2);
     ASSERT_EQ(dims[0] * dims[1], ranks);
-    const auto eng = make_engine(ranks, 4);
     const auto bundle =
         halo_app(am::cart_neighbors(dims, /*periodic=*/true), /*iters=*/3)
             .take_bundle();
-
-    const auto collapsed = eng.run(bundle);
-    EXPECT_LE(collapsed.collapse_classes * 4, ranks);
-    EXPECT_EQ(collapsed.collapse_split_noise, 0);
-    expect_invariant(eng, collapsed, bundle, "torus 16x16");
+    quiet_and_noisy(ranks, 4, bundle, "torus 16x16",
+                    [&](const as::Engine&, const as::RunResult& collapsed) {
+                        EXPECT_LE(collapsed.collapse_classes * 4, ranks);
+                    });
 }
 
 TEST(CollapseHalo, Torus3DCollapsesToSurfaceOrderClasses)  {
@@ -140,15 +168,15 @@ TEST(CollapseHalo, Torus3DCollapsesToSurfaceOrderClasses)  {
     const int ranks = 512;
     const auto dims = am::dims_create(ranks, 3);
     ASSERT_EQ(dims[0] * dims[1] * dims[2], ranks);
-    const auto eng = make_engine(ranks, 8);
     const auto bundle =
         halo_app(am::cart_neighbors(dims, /*periodic=*/true), /*iters=*/2)
             .take_bundle();
-
-    const auto collapsed = eng.run(bundle);
-    EXPECT_LE(collapsed.collapse_classes * 2, ranks);
-    EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes, ranks);
-    expect_invariant(eng, collapsed, bundle, "torus 8x8x8");
+    quiet_and_noisy(ranks, 8, bundle, "torus 8x8x8",
+                    [&](const as::Engine& eng, const as::RunResult& collapsed) {
+                        EXPECT_LE(collapsed.collapse_classes * 2, ranks);
+                        EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes,
+                                  ranks);
+                    });
 }
 
 TEST(CollapseHalo, NonDivisibleDecompositionsStayInvariant) {
@@ -158,23 +186,85 @@ TEST(CollapseHalo, NonDivisibleDecompositionsStayInvariant) {
     // program). Both must collapse below the rank count and stay invariant.
     {
         const auto dims = am::dims_create(90, 3);
-        const auto eng = make_engine(90, 2);
         const auto bundle =
             halo_app(am::cart_neighbors(dims, /*periodic=*/false), /*iters=*/2)
                 .take_bundle();
-        const auto collapsed = eng.run(bundle);
-        EXPECT_LT(collapsed.collapse_classes, 90);
-        expect_invariant(eng, collapsed, bundle, "box 6x5x3");
+        quiet_and_noisy(90, 2, bundle, "box 6x5x3",
+                        [](const as::Engine&, const as::RunResult& collapsed) {
+                            EXPECT_LT(collapsed.collapse_classes, 90);
+                        });
     }
     {
-        const auto eng = make_engine(64, 1);
         const auto bundle =
             halo_app(am::chain_neighbors(64, /*active=*/45), /*iters=*/3)
                 .take_bundle();
-        const auto collapsed = eng.run(bundle);
-        EXPECT_LE(collapsed.collapse_classes, 8);
-        expect_invariant(eng, collapsed, bundle, "chain 45/64");
+        quiet_and_noisy(64, 1, bundle, "chain 45/64",
+                        [](const as::Engine&, const as::RunResult& collapsed) {
+                            EXPECT_LE(collapsed.collapse_classes, 8);
+                        });
     }
+}
+
+TEST(CollapseHalo, NoisyInactiveChainSplitsByTierOnMemberClocks) {
+    // COSA's shape: per-rank compute first, then a chain halo over the 45
+    // active of 64 ranks, then an allreduce. At default knobs the merged
+    // classes carry per-member clocks by the time the first relative send
+    // checks its hop tier, so the node-edge group split must partition
+    // those clocks.
+    const int ranks = 64;
+    const int active = 45;
+    const auto nbrs = am::chain_neighbors(ranks, active);
+    am::ProgramSet ps(ranks);
+    ps.mark("chain");
+    for (int it = 0; it < 3; ++it) {
+        ps.compute_by_rank([&](int r) {
+            const double blocks = r < active ? 1 + r % 2 : 0;
+            return phase("block", blocks * 1.0e7, blocks * 5.0e7);
+        });
+        ps.halo_exchange(nbrs, 4.0e4);
+        ps.allreduce(8);
+    }
+    const auto bundle = ps.take_bundle();
+    for (const int nodes : {2, 4}) {
+        const auto placement =
+            as::Placement::block(aa::fulhame().node, nodes, ranks, 1);
+        const as::Engine eng(aa::fulhame(), placement, 0.8);
+        const as::RefEngine ref(aa::fulhame(), placement, 0.8);
+        const auto collapsed = eng.run(bundle);
+        EXPECT_GE(collapsed.collapse_split_placement, 1) << nodes << " nodes";
+        EXPECT_LE(collapsed.collapse_classes, 8) << nodes << " nodes";
+        expect_invariant(eng, collapsed, bundle, "noisy chain 45/64");
+        EXPECT_BITEQ(collapsed, ref.run(bundle), "noisy chain vs RefEngine");
+    }
+}
+
+TEST(CollapseHalo, NoisyPipelineGroupSplitsAtQuiescence) {
+    // A two-wide relative pipeline: ranks 2..13 receive from r - 2, then
+    // send to r + 2. After a noisy compute the merged middle class blocks
+    // with only its first two members matched, so quiescence group-splits
+    // it by match state: the matched pair keeps per-member clocks and
+    // completes its receive merged, the rest stay blocked.
+    const int ranks = 16;
+    std::vector<as::Program> progs(static_cast<std::size_t>(ranks));
+    for (int r = 0; r < ranks; ++r) {
+        auto& p = progs[static_cast<std::size_t>(r)];
+        for (int it = 0; it < 2; ++it) {
+            p.compute(phase("wave", 1.0e7, 5.0e7));
+            if (r >= 2) p.recv_rel(-2, /*tag=*/4);
+            if (r + 2 < ranks) p.send_rel(2, 4.0e4, /*tag=*/4);
+            p.allreduce(8);
+        }
+    }
+    const auto bundle = as::ProgramBundle::from(progs);
+    ASSERT_EQ(bundle.distinct(), 3);
+    const auto placement = as::Placement::block(aa::fulhame().node, 1, ranks, 1);
+    const as::Engine eng(aa::fulhame(), placement, 0.8);
+    const as::RefEngine ref(aa::fulhame(), placement, 0.8);
+    const auto collapsed = eng.run(bundle);
+    EXPECT_GE(collapsed.collapse_split_p2p, 1);
+    EXPECT_LT(collapsed.collapse_classes, ranks);
+    expect_invariant(eng, collapsed, bundle, "noisy pipeline");
+    EXPECT_BITEQ(collapsed, ref.run(progs), "noisy pipeline vs RefEngine");
 }
 
 TEST(CollapseHalo, HopTierChangeForcesGroupedSplit) {

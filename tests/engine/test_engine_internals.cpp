@@ -341,7 +341,7 @@ void expect_same_bundle(const as::ProgramBundle& got, const as::ProgramBundle& w
 
 TEST(ProgramSetClasses, BundleEqualsPerRankOracleOverSeededBuilds) {
     aa::ModelKnobs noiseless;
-    noiseless.os_noise = 0;  // keep classes merged through the engine run
+    noiseless.os_noise = 0;  // the uniform-clock path; noise is in test_collapse*
     for (const int ranks : {1, 2, 7, 48, 125, 384}) {
         const as::Engine engine(
             aa::a64fx(),

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace au = armstice::util;
 
 namespace {
@@ -100,4 +103,34 @@ TEST(Cli, MultiplePositionalsPreserveOrder) {
     ASSERT_EQ(cli.positionals().size(), 3u);
     EXPECT_EQ(cli.positionals()[1], "hpcg");
     EXPECT_EQ(cli.positionals()[2], "extra");
+}
+
+namespace {
+
+/// Values every integer reader must reject rather than narrow or wrap.
+std::vector<std::string> bad_counts() {
+    return {"2abc",       "0",  "-1", "", "4294967298", "99999999999999999999",
+            std::to_string(au::kMaxJobs + 1)};
+}
+
+} // namespace
+
+TEST(Cli, IntReaderRejectsBadValuesInsteadOfNarrowing) {
+    for (const std::string& bad : bad_counts()) {
+        auto cli = make_cli();
+        const std::string arg = "--nodes=" + bad;
+        parse(cli, {arg.c_str()});
+        EXPECT_THROW((void)cli.get_int("nodes", 1, au::kMaxJobs), au::Error)
+            << "'" << bad << "'";
+    }
+    for (const std::string& good :
+         std::vector<std::string>{"1", "7", std::to_string(au::kMaxJobs)}) {
+        auto cli = make_cli();
+        const std::string arg = "--nodes=" + good;
+        parse(cli, {arg.c_str()});
+        EXPECT_EQ(cli.get_int("nodes", 1, au::kMaxJobs), std::stoi(good));
+    }
+    auto cli = make_cli();
+    parse(cli, {"--nodes", "-1"});
+    EXPECT_EQ(cli.get_int("nodes", -1, 65535), -1);  // bounds are per option
 }

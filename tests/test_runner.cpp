@@ -3,6 +3,7 @@
 // plus the bench-facing --jobs extraction in util::jobs_from_args.
 
 #include "core/runner.hpp"
+#include "kern/par.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/threadpool.hpp"
@@ -461,4 +462,42 @@ TEST(JobsFromArgs, RejectsBadValues) {
         Argv a{"bench", "--jobs=nope"};
         EXPECT_THROW((void)au::jobs_from_args(a.argc, a.ptrs.data(), 1), au::Error);
     }
+}
+
+TEST(JobsFromEnvironment, EveryReaderRejectsBadValues) {
+    // One parser behind ARMSTICE_JOBS and --jobs: each reader must throw on
+    // the same inputs. Only thread *counts* are read here; no pool starts.
+    ac::set_default_jobs(0);
+    armstice::kern::par::set_jobs(0);
+    for (const std::string& bad : std::vector<std::string>{
+             "2abc", "0", "-1", "4294967298", "99999999999999999999",
+             std::to_string(au::kMaxJobs + 1)}) {
+        setenv("ARMSTICE_JOBS", bad.c_str(), 1);
+        EXPECT_THROW((void)au::env_jobs(), au::Error) << bad;
+        EXPECT_THROW((void)ac::default_jobs(), au::Error) << bad;
+        EXPECT_THROW((void)armstice::kern::par::jobs(), au::Error) << bad;
+        Argv env_only{"bench"};
+        EXPECT_THROW((void)au::jobs_from_args(env_only.argc, env_only.ptrs.data(), 1),
+                     au::Error)
+            << bad;
+        const std::string flag = "--jobs=" + bad;
+        Argv flagged{"bench", flag.c_str()};
+        EXPECT_THROW((void)au::jobs_from_args(flagged.argc, flagged.ptrs.data(), 1),
+                     au::Error)
+            << bad;
+    }
+    // An empty variable is unset, not an error.
+    setenv("ARMSTICE_JOBS", "", 1);
+    EXPECT_EQ(au::env_jobs(), 0);
+    EXPECT_EQ(ac::default_jobs(), 1);
+    Argv empty_flag{"bench", "--jobs="};
+    EXPECT_THROW((void)au::jobs_from_args(empty_flag.argc, empty_flag.ptrs.data(), 1),
+                 au::Error);
+    // The bound itself is accepted.
+    const std::string top = std::to_string(au::kMaxJobs);
+    setenv("ARMSTICE_JOBS", top.c_str(), 1);
+    EXPECT_EQ(au::env_jobs(), au::kMaxJobs);
+    EXPECT_EQ(ac::default_jobs(), au::kMaxJobs);
+    EXPECT_EQ(armstice::kern::par::jobs(), au::kMaxJobs);
+    unsetenv("ARMSTICE_JOBS");
 }
