@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n%s", e.what(), cli.usage().c_str());
         return 2;
     }
-    const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_long("seed"));
+    const std::uint64_t seed = cli.get_u64("seed");
 
     const std::vector<serve::PointSpec> pool = build_pool(keys);
 

@@ -200,6 +200,7 @@ struct Scenario {
     int split_p2p = 0;        ///< absolute p2p / wildcard / rel-arrival splits
     int split_noise = 0;      ///< always 0: noise keeps per-member clocks
     int split_placement = 0;  ///< rel-send hop-tier (node edge) splits
+    int peak_msg_records = 0; ///< live message-store records, high-water mark
     bool bit_identical = false;  ///< diffed against collapse-off and equal
 };
 
@@ -284,16 +285,17 @@ Scenario measure(const std::string& app, int ranks,
         s.split_p2p = res.collapse_split_p2p;
         s.split_noise = res.collapse_split_noise;
         s.split_placement = res.collapse_split_placement;
+        s.peak_msg_records = res.peak_msg_records;
     }
     s.seconds = best;
     s.ops_per_sec = static_cast<double>(s.ops) / best;
     finish_rss(&s, rss_reset);
     std::printf("  %-5s %5d ranks  %9ld ops  %8.4f s  %10.0f ops/s"
-                "  rss %ld MiB%s  classes %d  (makespan %.3f s)\n",
+                "  rss %ld MiB%s  classes %d  msg records %d  (makespan %.3f s)\n",
                 app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
-                makespan);
+                s.peak_msg_records, makespan);
     return s;
 }
 
@@ -347,6 +349,7 @@ Scenario measure_scale(const std::string& app, int ranks,
     s.split_p2p = res.collapse_split_p2p;
     s.split_noise = res.collapse_split_noise;
     s.split_placement = res.collapse_split_placement;
+    s.peak_msg_records = res.peak_msg_records;
     if (out != nullptr) *out = res;
 
     if (check_flat) {
@@ -367,12 +370,12 @@ Scenario measure_scale(const std::string& app, int ranks,
     finish_rss(&s, rss_reset);
     std::printf("  %-10s %8d ranks  %11ld ops  %8.4f s  %12.3g ops/s"
                 "  rss %ld MiB%s  classes %d  splits %d (p2p %d, noise %d, "
-                "placement %d)%s  (makespan %.3f s)\n",
+                "placement %d)  msg records %d%s  (makespan %.3f s)\n",
                 app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
                 s.collapse_splits, s.split_p2p, s.split_noise, s.split_placement,
-                collapse ? "" : "  [collapse off]", makespan);
+                s.peak_msg_records, collapse ? "" : "  [collapse off]", makespan);
     return s;
 }
 
@@ -416,13 +419,13 @@ void write_json(const std::vector<Scenario>& scenarios) {
                     "\"peak_rss_kb\": %ld, \"rss_scope\": \"%s\", "
                     "\"collapse_classes\": %d, \"collapse_splits\": %d, "
                     "\"split_p2p\": %d, \"split_noise\": %d, "
-                    "\"split_placement\": %d",
+                    "\"split_placement\": %d, \"peak_msg_records\": %d",
                     json_escape(s.app).c_str(), s.ranks,
                     s.collapse ? "true" : "false",
                     s.ops, s.seconds, s.ops_per_sec,
                     s.peak_rss_kb, s.rss_per_scenario ? "scenario" : "process",
                     s.collapse_classes, s.collapse_splits, s.split_p2p,
-                    s.split_noise, s.split_placement);
+                    s.split_noise, s.split_placement, s.peak_msg_records);
         // A row only carries bit_identical when it was actually diffed
         // against collapse-off (a mismatch aborts before the JSON is
         // written), and only carries a speedup when a baseline entry exists

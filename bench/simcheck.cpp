@@ -25,6 +25,7 @@
 
 #include <time.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -51,6 +52,7 @@ struct Smoke {
     int ranks = 0;
     int classes = 0;        ///< classes the os_noise = 0 run ended with
     int noisy_classes = 0;  ///< classes the default-knob run ended with
+    int msg_records = 0;    ///< peak live message records of the quiet run
     bool ok = true;         ///< both runs bit-identical and within the bound
 };
 
@@ -142,9 +144,12 @@ Smoke collapse_smoke(int ranks) {
 /// grid interior shares one structural program and the engine executes it
 /// as merged classes — each run must (a) end with FAR fewer classes than
 /// ranks (the collapse actually carried through the p2p, and through the
-/// noise), and (b) stay bit-identical to collapse-off and to a perturbed
-/// collapsed schedule. This is the only halo gate at a scale (100k ranks in
-/// CI) the fuzz suite and unit tests cannot reach.
+/// noise), (b) stay bit-identical to collapse-off and to a perturbed
+/// collapsed schedule, and (c) hold at most neighbours x classes live
+/// message records (one per class per in-flight send, DESIGN.md §11.4; one
+/// record per rank pair would be ~587k at 100k ranks). This is the only
+/// halo gate at a scale (100k ranks in CI) the fuzz suite and unit tests
+/// cannot reach.
 Smoke halo_collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "halo-smoke-spmv";
@@ -174,6 +179,9 @@ Smoke halo_collapse_smoke(int ranks) {
                   aa::ModelKnobs{}, 0x4a105eedULL, &out.ok);
     out.classes = quiet.collapse_classes;
     out.noisy_classes = noisy.collapse_classes;
+    out.msg_records = quiet.peak_msg_records;
+    std::size_t degree = 0;
+    for (const auto& nb : neighbors) degree = std::max(degree, nb.size());
     // "Far fewer": the interior must stay merged. A 3D halo has <= 27
     // structural boundary patterns; splits add node-edge and arrival-order
     // classes but never approach O(ranks).
@@ -185,13 +193,22 @@ Smoke halo_collapse_smoke(int ranks) {
                          ranks, r->collapse_classes);
             out.ok = false;
         }
+        const auto bound = static_cast<long long>(degree) * r->collapse_classes;
+        if (r->peak_msg_records > bound) {
+            std::fprintf(stderr,
+                         "halo collapse smoke (%d ranks): %d live message records,"
+                         " more than neighbours x classes = %lld\n",
+                         ranks, r->peak_msg_records, bound);
+            out.ok = false;
+        }
     }
     std::printf("halo collapse smoke: %d ranks, %d classes, %d splits"
-                " (p2p %d, placement %d); default knobs: %d classes, %d splits"
-                " — %s\n",
+                " (p2p %d, placement %d), %d msg records; default knobs: %d"
+                " classes, %d splits, %d msg records — %s\n",
                 ranks, quiet.collapse_classes, quiet.collapse_splits,
                 quiet.collapse_split_p2p, quiet.collapse_split_placement,
-                noisy.collapse_classes, noisy.collapse_splits,
+                quiet.peak_msg_records, noisy.collapse_classes,
+                noisy.collapse_splits, noisy.peak_msg_records,
                 out.ok ? "bit-identical" : "MISMATCH");
     return out;
 }
@@ -213,9 +230,10 @@ void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
     j += format("  \"halo_collapse_smoke_ranks\": %d,\n"
                 "  \"halo_collapse_smoke_ok\": %s,\n"
                 "  \"halo_collapse_smoke_classes\": %d,\n"
-                "  \"halo_collapse_smoke_noisy_classes\": %d,\n",
+                "  \"halo_collapse_smoke_noisy_classes\": %d,\n"
+                "  \"halo_collapse_smoke_msg_records\": %d,\n",
                 halo.ranks, halo.ok ? "true" : "false", halo.classes,
-                halo.noisy_classes);
+                halo.noisy_classes, halo.msg_records);
     j += format("  \"seconds\": %.3f,\n  \"seeds_per_sec\": %.2f\n}\n", seconds,
                 seconds > 0 ? cfg.seeds / seconds : 0.0);
     if (!armstice::util::write_file_atomic("BENCH_simcheck.json", j)) {
@@ -251,7 +269,7 @@ int main(int argc, char** argv) {
         cli.parse(argc, argv);
         constexpr int kMaxInt = std::numeric_limits<int>::max();
         cfg.seeds = cli.get_int("seeds", 1, kMaxInt);
-        cfg.first_seed = static_cast<std::uint64_t>(cli.get_long("first-seed"));
+        cfg.first_seed = cli.get_u64("first-seed");
         cfg.ranks = cli.get_int("ranks", 0, 4096);
         cfg.perturbations = cli.get_int("perturb", 0, 1024);
         cfg.deadlock_every = cli.get_int("deadlock-every", 0, kMaxInt);

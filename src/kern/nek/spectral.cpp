@@ -262,8 +262,8 @@ CgResult NekMesh::cg(std::span<const double> f, std::span<double> u, int iters) 
         return par::reduce_sum(static_cast<long>(n), [&](par::Range r) {
             double s = 0;
             for (long i = r.begin; i < r.end; ++i) {
-                const auto u = static_cast<std::size_t>(i);
-                s += a[u] * b[u] * vmult[u];
+                const auto k = static_cast<std::size_t>(i);
+                s += a[k] * b[k] * vmult[k];
             }
             return s;
         });

@@ -7,8 +7,8 @@
 #include "util/str.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -16,85 +16,6 @@
 
 namespace armstice::sim {
 namespace {
-
-struct Message {
-    int src = 0;
-    int tag = 0;
-    double arrival = 0;
-};
-
-/// One (src, dst) message FIFO. Head-indexed with small-buffer storage: push
-/// at the back, consume at `head`, reset when drained so storage is reused.
-/// Messages live in the inline array until the queue outgrows it within one
-/// drain cycle, then spill to the heap vector (sticky until the next drain).
-/// Halo traffic keeps 1-2 messages in flight per (src, dst) pair, so the hot
-/// path — the header fields plus the first inline slot are laid out to be
-/// exactly one cache line — never touches a second heap allocation: at 10^3
-/// ranks the old vector<Message> indirection made every send and every match
-/// a chain of dependent out-of-cache loads.
-///
-/// All queues of a run live in ONE flat arena (run_impl's `qarena`), and a
-/// mailbox is just a tiny src->slot index.
-struct SrcQueue {
-    static constexpr std::uint32_t kInline = 3;
-    int src = 0;
-    std::uint32_t head = 0;
-    std::uint32_t count = 0;    ///< logical size ([0, head) consumed)
-    std::uint32_t spilled = 0;  ///< messages live in `spill`, not `inl`
-    Message inl[kInline];
-    std::vector<Message> spill;
-
-    [[nodiscard]] const Message* data() const {
-        return spilled ? spill.data() : inl;
-    }
-    [[nodiscard]] Message* data() { return spilled ? spill.data() : inl; }
-    [[nodiscard]] std::uint32_t size() const { return count; }
-    void push_back(const Message& m) {
-        if (!spilled && count < kInline) {
-            inl[count++] = m;
-            return;
-        }
-        if (!spilled) {
-            spill.assign(inl, inl + count);
-            spilled = 1;
-        }
-        spill.push_back(m);
-        ++count;
-    }
-    void reset() {
-        head = 0;
-        count = 0;
-        spilled = 0;
-        spill.clear();  // capacity kept: repeated spills stay allocation-free
-    }
-    /// Remove the message at `i` (mid-queue tag mismatch — rare), keeping
-    /// FIFO order of the rest.
-    void erase_at(std::uint32_t i) {
-        Message* d = data();
-        for (std::uint32_t j = i + 1; j < count; ++j) d[j - 1] = d[j];
-        --count;
-        if (spilled) spill.pop_back();
-    }
-    /// Consume the matched message at `i` (head-advance fast path).
-    void consume(std::uint32_t i) {
-        if (i == head) {
-            if (++head == count) reset();
-        } else {
-            erase_at(i);
-        }
-    }
-};
-
-/// One rank's inbox: (source rank, qarena slot) pairs. Ranks receive from a
-/// handful of sources (halo neighbours), so the list is a small linearly-
-/// scanned vector — 8 bytes per source, one cache line for 8 neighbours.
-struct Mailbox {
-    struct SrcSlot {
-        int src;
-        std::uint32_t slot;  ///< index into run_impl's qarena
-    };
-    std::vector<SrcSlot> srcs;
-};
 
 enum class BlockKind { none, recv, collective };
 
@@ -162,6 +83,436 @@ struct MemberClocks {
     std::vector<double> coll_wait;
     std::vector<std::vector<double>> phase;
 };
+
+constexpr std::uint32_t kNone = UINT32_MAX;
+
+/// Every message of a run (DESIGN.md §11.4). A message is named by (source,
+/// destination, tag, ordinal): the k-th receive of tag t on a (src, dst)
+/// pair consumes the k-th send of tag t on that pair, whether the receive
+/// names its source or is a granted wildcard. Members of a class have run
+/// the same relative ops since run start (absolute and wildcard p2p split
+/// first), so a class keeps ONE channel per (peer offset, tag) for all its
+/// members — the peer is the destination of its sends and the source of its
+/// receives — with their shared send and receive counts and the records of
+/// its sends not yet consumed by every destination. A record is one send by
+/// every member: one arrival, or one per member for a class with
+/// MemberClocks. A merged send therefore appends one record, and a merged
+/// receive resolves its members' sources by source class, so a halo round
+/// costs O(classes), not O(ranks). A record is freed once every destination
+/// pair has consumed it; pairs consume in ordinal order, so a channel frees
+/// its records in order and the store holds only in-flight messages.
+class MsgStore {
+public:
+    /// The classes of a class's peers at one rank offset, in first-appearance
+    /// order over ascending members, with how many members each one serves.
+    struct Peer {
+        std::uint32_t cls;
+        std::uint32_t count;
+    };
+    struct Match {
+        bool any = false;  ///< some member has its message
+        bool all = true;   ///< every member has its message
+    };
+
+    MsgStore(const std::vector<SimClass>& cls, const std::vector<std::uint32_t>& cls_of)
+        : cls_(cls), cls_of_(cls_of) {}
+
+    /// Class ci's next send on (off, tag); every member's message arrives at
+    /// `arrival`.
+    void post(std::uint32_t ci, int off, int tag, double arrival) {
+        const std::uint32_t id = append(ci, off, tag);
+        records_[id].arrival = arrival;
+    }
+    /// Same, with one arrival per member: the caller fills the returned
+    /// array (parallel to cls[ci].members) before the next store call.
+    double* post_each(std::uint32_t ci, int off, int tag) {
+        if (pos_.empty()) {
+            pos_.assign(cls_of_.size(), 0);
+            for (const SimClass& c : cls_) index_members(c);
+        }
+        const std::uint32_t id = append(ci, off, tag);
+        std::vector<double>& a = arrays_[alloc_array(id)];
+        a.resize(cls_[ci].members.size());
+        return a.data();
+    }
+
+    /// Consume the next message on (src -> dst, tag) into `arrival`; false
+    /// when it has not been sent yet.
+    bool take(int src, int dst, int tag, double& arrival) {
+        if (src < 0 || src >= static_cast<int>(cls_of_.size())) return false;
+        Chan& rc = chan(cls_of_[static_cast<std::size_t>(dst)], src - dst, tag);
+        Chan* sc = find(cls_of_[static_cast<std::size_t>(src)], dst - src, tag);
+        if (sc == nullptr || sc->sent <= rc.got) return false;
+        const std::uint32_t id = record_at(*sc, rc.got);
+        arrival = arrival_of(id, src);
+        release(*sc, id, 1);
+        ++rc.got;
+        return true;
+    }
+
+    /// The wildcard candidate for dst on `tag`: the smallest (arrival,
+    /// source) over every source's next message. Scans every send log, so
+    /// it runs only at quiescence, for a granted or probed wildcard.
+    /// Returns the source, or -1 when no message is pending.
+    int best_any(int dst, int tag) {
+        const std::uint32_t ri = cls_of_[static_cast<std::size_t>(dst)];
+        const int n = static_cast<int>(cls_of_.size());
+        int best = -1;
+        double best_arrival = 0;
+        for (std::uint32_t si = 0; si < chans_.size(); ++si) {
+            const ClassMsgs& cm = chans_[si];
+            for (std::size_t x = 0; x < cm.chans.size(); ++x) {
+                const Chan& sc = cm.chans[x];
+                const int src = dst - off_of(cm.keys[x]);
+                if (tag_of(cm.keys[x]) != tag || sc.live == 0 || src < 0 || src >= n ||
+                    cls_of_[static_cast<std::size_t>(src)] != si) {
+                    continue;
+                }
+                const Chan* rc = find(ri, src - dst, tag);
+                const std::uint32_t k = rc != nullptr ? rc->got : 0;
+                if (sc.sent <= k) continue;
+                const double a = arrival_of(record_at(sc, k), src);
+                if (best < 0 || a < best_arrival || (a == best_arrival && src < best)) {
+                    best = src;
+                    best_arrival = a;
+                }
+            }
+        }
+        return best;
+    }
+
+    const std::vector<Peer>& peers(std::uint32_t ci, int off);
+
+    /// Resolve merged class ci's next receive on (off, tag) per source
+    /// class. The probed state is read by uniform_done / probed_arrival and
+    /// consumed by consume(), all before the next store call.
+    Match probe(std::uint32_t ci, int off, int tag) {
+        const Chan* rc = find(ci, off, tag);
+        const std::uint32_t k = rc != nullptr ? rc->got : 0;
+        probed_.clear();
+        probe_cls_ = ci;
+        probe_off_ = off;
+        ++stamp_;
+        Match m;
+        for (const Peer& p : peers(ci, off)) {
+            const Chan* sc = find(p.cls, -off, tag);
+            const std::uint32_t id =
+                sc != nullptr && sc->sent > k ? record_at(*sc, k) : kNone;
+            mark_[p.cls] = {stamp_, static_cast<std::uint32_t>(probed_.size())};
+            probed_.push_back({p.cls, p.count, id});
+            m.any = m.any || id != kNone;
+            m.all = m.all && id != kNone;
+        }
+        return m;
+    }
+    /// After a fully matched probe: when every member's completion
+    /// max(time, arrival) is one value, store it in `done` and return true.
+    /// False when completions differ or a source class has per-member
+    /// arrivals (the caller then reads them through probed_arrival).
+    bool uniform_done(double time, double& done) const {
+        bool first = true;
+        for (const Probed& p : probed_) {
+            const Record& r = records_[p.rec];
+            if (r.each != kNone) return false;
+            const double d = r.arrival > time ? r.arrival : time;
+            if (!first && std::bit_cast<std::uint64_t>(d) !=
+                              std::bit_cast<std::uint64_t>(done)) {
+                return false;
+            }
+            done = d;
+            first = false;
+        }
+        return true;
+    }
+    /// After a probe: the arrival of member i's message, if it was sent.
+    [[nodiscard]] std::optional<double> probed_arrival(std::size_t i) const {
+        const int src = cls_[probe_cls_].members[i] + probe_off_;
+        const std::uint32_t si = cls_of_[static_cast<std::size_t>(src)];
+        const std::uint32_t id = probed_[mark_[si].second].rec;
+        if (id == kNone) return std::nullopt;
+        return arrival_of(id, src);
+    }
+    /// Consume every message of a fully matched probe of (ci, off, tag).
+    void consume(std::uint32_t ci, int off, int tag) {
+        for (const Probed& p : probed_) {
+            release(*find(p.cls, -off, tag), p.rec, p.count);
+        }
+        ++chan(ci, off, tag).got;
+    }
+
+    void split(std::uint32_t ci, const std::vector<int>& members,
+               const std::vector<std::uint32_t>& to, std::size_t first);
+
+    [[nodiscard]] int peak() const { return peak_; }
+
+private:
+    struct Record {
+        double arrival = 0;          ///< every member's arrival, unless `each`
+        std::uint32_t pending = 0;   ///< (src, dst) pairs yet to consume it
+        std::uint32_t next = kNone;  ///< next record of the same channel
+        std::uint32_t each = kNone;  ///< arrays_ slot of per-member arrivals
+    };
+    /// One (peer offset, tag) of a class: its members' send and receive
+    /// counts and, from `head`, the `live` records of ordinals
+    /// [sent - live, sent).
+    struct Chan {
+        std::uint32_t sent = 0;
+        std::uint32_t got = 0;
+        std::uint32_t live = 0;
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
+    };
+    /// peers(ci, off), valid while no class has split since `epoch`.
+    struct PeerCache {
+        int off;
+        std::uint64_t epoch;
+        std::vector<Peer> peers;
+    };
+    /// A class's channels, keyed by key_of(offset, tag) in `keys` (parallel
+    /// to `chans`, so a lookup scans one cache line of keys).
+    struct ClassMsgs {
+        std::vector<std::uint64_t> keys;
+        std::vector<Chan> chans;
+        std::vector<PeerCache> peers;
+    };
+    static std::uint64_t key_of(int off, int tag) {
+        return std::uint64_t{static_cast<std::uint32_t>(off)} << 32 |
+               static_cast<std::uint32_t>(tag);
+    }
+    static int off_of(std::uint64_t key) {
+        return static_cast<int>(static_cast<std::uint32_t>(key >> 32));
+    }
+    static int tag_of(std::uint64_t key) {
+        return static_cast<int>(static_cast<std::uint32_t>(key));
+    }
+    struct Probed {
+        std::uint32_t cls;
+        std::uint32_t count;
+        std::uint32_t rec;  ///< kNone = not sent yet
+    };
+
+    void grow() {
+        if (chans_.size() < cls_.size()) chans_.resize(cls_.size());
+        if (mark_.size() < cls_.size()) mark_.resize(cls_.size(), {0, 0});
+    }
+    Chan* find(std::uint32_t ci, int off, int tag) {
+        if (ci >= chans_.size()) return nullptr;
+        ClassMsgs& cm = chans_[ci];
+        const std::uint64_t key = key_of(off, tag);
+        for (std::size_t x = 0; x < cm.keys.size(); ++x) {
+            if (cm.keys[x] == key) return &cm.chans[x];
+        }
+        return nullptr;
+    }
+    Chan& chan(std::uint32_t ci, int off, int tag) {
+        if (Chan* c = find(ci, off, tag)) return *c;
+        grow();
+        ClassMsgs& cm = chans_[ci];
+        cm.keys.push_back(key_of(off, tag));
+        return cm.chans.emplace_back();
+    }
+    std::uint32_t alloc() {
+        std::uint32_t id;
+        if (!free_.empty()) {
+            id = free_.back();
+            free_.pop_back();
+        } else {
+            id = static_cast<std::uint32_t>(records_.size());
+            records_.emplace_back();
+        }
+        peak_ = std::max(peak_, ++live_);
+        return id;
+    }
+    void free_record(std::uint32_t id) {
+        if (records_[id].each != kNone) {
+            free_arrays_.push_back(records_[id].each);
+            records_[id].each = kNone;
+        }
+        free_.push_back(id);
+        --live_;
+    }
+    /// Give record `id` a per-member arrival array (capacity is reused).
+    std::uint32_t alloc_array(std::uint32_t id) {
+        std::uint32_t a;
+        if (!free_arrays_.empty()) {
+            a = free_arrays_.back();
+            free_arrays_.pop_back();
+        } else {
+            a = static_cast<std::uint32_t>(arrays_.size());
+            arrays_.emplace_back();
+        }
+        records_[id].each = a;
+        return a;
+    }
+    /// Link record `id` at the tail of channel c.
+    void link(Chan& c, std::uint32_t id) {
+        records_[id].next = kNone;
+        if (c.tail != kNone) {
+            records_[c.tail].next = id;
+        } else {
+            c.head = id;
+        }
+        c.tail = id;
+        ++c.live;
+    }
+    std::uint32_t append(std::uint32_t ci, int off, int tag) {
+        Chan& c = chan(ci, off, tag);
+        const std::uint32_t id = alloc();
+        records_[id].pending = static_cast<std::uint32_t>(cls_[ci].size);
+        link(c, id);
+        ++c.sent;
+        return id;
+    }
+    /// The record of ordinal k (sent - live <= k < sent) of channel c.
+    [[nodiscard]] std::uint32_t record_at(const Chan& c, std::uint32_t k) const {
+        std::uint32_t id = c.head;
+        for (std::uint32_t i = c.sent - c.live; i < k; ++i) id = records_[id].next;
+        return id;
+    }
+    [[nodiscard]] double arrival_of(std::uint32_t id, int src) const {
+        const Record& r = records_[id];
+        return r.each == kNone ? r.arrival
+                               : arrays_[r.each][pos_[static_cast<std::size_t>(src)]];
+    }
+    void index_members(const SimClass& c) {
+        for (std::size_t i = 0; i < c.members.size(); ++i) {
+            pos_[static_cast<std::size_t>(c.members[i])] = static_cast<std::uint32_t>(i);
+        }
+    }
+    /// `count` destination pairs of channel c consumed record `id`. Pairs
+    /// consume in ordinal order, so a record that no pair still needs is the
+    /// channel's oldest.
+    void release(Chan& c, std::uint32_t id, std::uint32_t count) {
+        Record& r = records_[id];
+        r.pending -= count;
+        if (r.pending != 0) return;
+        ARMSTICE_CHECK(c.head == id, "message records must be consumed in send order");
+        c.head = r.next;
+        if (c.head == kNone) c.tail = kNone;
+        --c.live;
+        free_record(id);
+    }
+
+    const std::vector<SimClass>& cls_;
+    const std::vector<std::uint32_t>& cls_of_;
+    std::vector<Record> records_;
+    std::vector<std::uint32_t> free_;
+    std::vector<std::vector<double>> arrays_;
+    std::vector<std::uint32_t> free_arrays_;
+    std::vector<ClassMsgs> chans_;  ///< per class, grown on first use
+    int live_ = 0;
+    int peak_ = 0;
+    std::uint64_t epoch_ = 0;       ///< split count: drops every PeerCache
+    /// Per class: (stamp, index) scratch of peers() and probe().
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> mark_;
+    std::uint64_t stamp_ = 0;
+    std::vector<Probed> probed_;
+    std::uint32_t probe_cls_ = 0;
+    int probe_off_ = 0;
+    /// Each rank's index in its class's members, which per-member arrivals
+    /// are parallel to. Built at the first per-member record.
+    std::vector<std::uint32_t> pos_;
+};
+
+const std::vector<MsgStore::Peer>& MsgStore::peers(std::uint32_t ci, int off) {
+    grow();
+    auto& caches = chans_[ci].peers;
+    PeerCache* pc = nullptr;
+    for (PeerCache& c : caches) {
+        if (c.off == off) pc = &c;
+    }
+    if (pc == nullptr) {
+        caches.push_back(PeerCache{off, epoch_ + 1, {}});
+        pc = &caches.back();
+    }
+    if (pc->epoch == epoch_) return pc->peers;
+    pc->epoch = epoch_;
+    pc->peers.clear();
+    ++stamp_;
+    for (const int m : cls_[ci].members) {
+        const std::uint32_t pi = cls_of_[static_cast<std::size_t>(m + off)];
+        auto& [stamp, idx] = mark_[pi];
+        if (stamp != stamp_) {
+            stamp = stamp_;
+            idx = static_cast<std::uint32_t>(pc->peers.size());
+            pc->peers.push_back({pi, 0});
+        }
+        ++pc->peers[idx].count;
+    }
+    return pc->peers;
+}
+
+/// Class ci split: its old member i now belongs to class to[i] (ci itself
+/// or a new class at index >= first), and cls_of is already updated. Every
+/// part keeps the channel counts; each pending record splits into one
+/// record per part that still has a member whose destination has not
+/// consumed it, carrying that part's arrivals. A part's oldest records may
+/// need no such record; pairs consume in order, so they form a prefix.
+void MsgStore::split(std::uint32_t ci, const std::vector<int>& members,
+                     const std::vector<std::uint32_t>& to, std::size_t first) {
+    ++epoch_;
+    const std::size_t parts = cls_.size() - first + 1;
+    if (!pos_.empty()) {
+        for (std::size_t p = 0; p < parts; ++p) {
+            index_members(cls_[p == 0 ? ci : first + p - 1]);
+        }
+    }
+    if (ci >= chans_.size() || chans_[ci].chans.empty()) return;
+    grow();
+    const auto part = [&](std::uint32_t c) -> std::size_t {
+        return c == ci ? 0 : c - first + 1;
+    };
+    const std::vector<std::uint64_t> keys = chans_[ci].keys;
+    const std::vector<Chan> parent = chans_[ci].chans;
+    for (std::size_t p = 0; p < parts; ++p) {
+        ClassMsgs& cm = chans_[p == 0 ? ci : first + p - 1];
+        cm.keys = keys;
+        cm.chans = parent;
+        for (Chan& c : cm.chans) {
+            c.live = 0;
+            c.head = c.tail = kNone;
+        }
+    }
+    std::vector<std::uint32_t> pending(parts);
+    std::vector<std::vector<double>> arrivals(parts);
+    for (std::size_t x = 0; x < parent.size(); ++x) {
+        const Chan& pc = parent[x];
+        const int off = off_of(keys[x]);
+        const int tag = tag_of(keys[x]);
+        std::uint32_t id = pc.head;
+        for (std::uint32_t k = pc.sent - pc.live; id != kNone; ++k) {
+            const Record rec = records_[id];
+            std::fill(pending.begin(), pending.end(), 0);
+            for (auto& a : arrivals) a.clear();
+            std::uint32_t total = 0;
+            for (std::size_t i = 0; i < members.size(); ++i) {
+                const std::size_t p = part(to[i]);
+                const int dst = members[i] + off;
+                const Chan* rc = find(cls_of_[static_cast<std::size_t>(dst)], -off, tag);
+                if ((rc != nullptr ? rc->got : 0) <= k) {
+                    ++pending[p];
+                    ++total;
+                }
+                if (rec.each != kNone) arrivals[p].push_back(arrays_[rec.each][i]);
+            }
+            ARMSTICE_CHECK(total == rec.pending, "message record lost a destination on split");
+            free_record(id);
+            for (std::size_t p = 0; p < parts; ++p) {
+                if (pending[p] == 0) continue;
+                const std::uint32_t nid = alloc();
+                records_[nid].pending = pending[p];
+                records_[nid].arrival = rec.arrival;
+                if (arrivals[p].size() == 1) {
+                    records_[nid].arrival = arrivals[p][0];  // a part of one has scalar clocks
+                } else if (!arrivals[p].empty()) {
+                    arrays_[alloc_array(nid)] = arrivals[p];
+                }
+                link(chans_[p == 0 ? ci : first + p - 1].chans[x], nid);
+            }
+            id = rec.next;
+        }
+    }
+}
 
 enum class CollKind { none, allreduce, barrier, alltoall };
 
@@ -511,37 +862,21 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
     };
 
-    // P2p state — per-rank home nodes and mailboxes — is materialised lazily
-    // on the first SendOp, so purely collective/compute workloads (the ones
-    // that stay collapsed) never allocate O(total ranks) arrays for it.
+    // P2p state. The rank -> node map is materialised lazily on the first
+    // SendOp, so purely collective/compute workloads (the ones that stay
+    // collapsed) never allocate an O(total ranks) array for it; the message
+    // store grows per class only as classes post and count messages.
     const auto& np = network_.params();
     const auto& topo = network_.topology();
     std::vector<int> rank_node;
-    std::vector<Mailbox> mailbox;
-    /// Every SrcQueue of the run, in creation order (mailbox entries hold
-    /// slots into this). Indices stay valid across growth.
-    std::vector<SrcQueue> qarena;
-    bool p2p_live = false;
     const auto ensure_p2p = [&] {
-        if (p2p_live) return;
+        if (!rank_node.empty()) return;
         rank_node.resize(static_cast<std::size_t>(n));
         for (int r = 0; r < n; ++r) {
             rank_node[static_cast<std::size_t>(r)] = placement_.loc(r).node;
         }
-        mailbox.assign(static_cast<std::size_t>(n), Mailbox{});
-        p2p_live = true;
     };
-    /// Arena slot of src's queue in `box`, creating it if absent.
-    const auto slot_for = [&](Mailbox& box, int src) -> std::uint32_t {
-        for (const auto& e : box.srcs) {
-            if (e.src == src) return e.slot;
-        }
-        const auto slot = static_cast<std::uint32_t>(qarena.size());
-        qarena.emplace_back();
-        qarena.back().src = src;
-        box.srcs.push_back(Mailbox::SrcSlot{src, slot});
-        return slot;
-    };
+    MsgStore msgs(cls, cls_of);
 
     // Tiered message-cost table: Network::p2p_time(a, b, bytes) evaluates
     // ((base + bytes/bw) + msg_overhead) where base depends on (a, b) only
@@ -609,6 +944,16 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
             runnable.push_back(ci);
         }
     };
+    // A send wakes a destination class only while it is blocked on an
+    // explicit-source receive: ANY_SOURCE waiters resolve at quiescence
+    // only (schedule invariance). A relative offset of -1 aliases the
+    // kAnySource sentinel, hence want_rel.
+    const auto wake_receiver = [&](std::uint32_t ci) {
+        const SimClass& c = cls[ci];
+        if (c.blocked == BlockKind::recv && (c.want_rel || c.want_src != kAnySource)) {
+            wake(ci);
+        }
+    };
 
     // Split accounting: every split event is attributed to the op kind that
     // broke the symmetry (bench_engine reports the breakdown).
@@ -654,77 +999,13 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 hand_members(cls[i == 0 ? ci : first + i - 1], mc, idx);
             }
         }
+        std::vector<std::uint32_t> to(members.size(), ci);
+        for (std::size_t i = 1; i < members.size(); ++i) {
+            to[i] = static_cast<std::uint32_t>(first + i - 1);
+        }
+        msgs.split(ci, members, to, first);
         // cls[ci] keeps members[0] == its rep; it is already dequeued and
         // continues executing the op that triggered the split.
-    };
-
-    // First message matching (want_src, want_tag). Per-source FIFOs preserve
-    // send order within a source (MPI non-overtaking); for MPI_ANY_SOURCE the
-    // cross-source winner is the candidate with the smallest (arrival time,
-    // source rank) key. Arrival = sender issue time + p2p latency, both pure
-    // functions of the programs, so — unlike a global send-issue counter —
-    // the match cannot depend on the order the engine happened to run ranks
-    // (DESIGN.md §10.2). Only singletons reach this path (wildcard recvs
-    // split first; merged relative recvs match per member via rel_probe), so
-    // the class rep is the receiving rank.
-    const auto find_recv =
-        [&](const SimClass& s) -> std::pair<SrcQueue*, std::uint32_t> {
-        if (!p2p_live) return {nullptr, 0};
-        auto& box = mailbox[static_cast<std::size_t>(s.rep)];
-        SrcQueue* best_sq = nullptr;
-        std::uint32_t best_i = 0;
-        for (const auto& e : box.srcs) {
-            if (s.want_src != kAnySource && e.src != s.want_src) continue;
-            auto& sq = qarena[e.slot];
-            const Message* msgs = sq.data();
-            for (std::uint32_t i = sq.head; i < sq.size(); ++i) {
-                if (msgs[i].tag != s.want_tag) continue;
-                if (best_sq == nullptr ||
-                    msgs[i].arrival < best_sq->data()[best_i].arrival ||
-                    (msgs[i].arrival == best_sq->data()[best_i].arrival &&
-                     sq.src < best_sq->src)) {
-                    best_sq = &sq;
-                    best_i = i;
-                }
-                break;  // first tag match per source is the only candidate
-            }
-            if (s.want_src != kAnySource) break;
-        }
-        return {best_sq, best_i};
-    };
-    const auto try_recv = [&](const SimClass& s) -> std::optional<Message> {
-        auto [best_sq, best_i] = find_recv(s);
-        if (best_sq == nullptr) return std::nullopt;
-        Message m = best_sq->data()[best_i];
-        best_sq->consume(best_i);
-        return m;
-    };
-
-    // One bit per rank: "blocked on an explicit-source recv" — exactly the
-    // condition under which a send must wake its destination (ANY_SOURCE
-    // waiters resolve only at quiescence). Testing the bit keeps the send
-    // fast path out of cls_of/cls entirely: the bitmap is 128 bytes per 10^3
-    // ranks and stays L1-resident, while cls[cls_of[dst]] is two dependent
-    // loads into hundreds of KB of class state. Maintained at every
-    // transition of (blocked == recv && want_src != kAnySource): set on
-    // explicit-recv block, cleared on every match. The bit is keyed by the
-    // *receiving rank*: a singleton's class rep, or — for a merged class
-    // blocked on a relative receive — every member (so any member's delivery
-    // wakes the class).
-    std::vector<std::uint64_t> recv_waiting(
-        (static_cast<std::size_t>(n) + 63) / 64, 0);
-    const auto set_recv_wait = [&](int rank) {
-        recv_waiting[static_cast<std::size_t>(rank) >> 6] |=
-            std::uint64_t{1} << (rank & 63);
-    };
-    const auto clr_recv_wait = [&](int rank) {
-        recv_waiting[static_cast<std::size_t>(rank) >> 6] &=
-            ~(std::uint64_t{1} << (rank & 63));
-    };
-    const auto recv_waiting_at = [&](int rank) -> bool {
-        return (recv_waiting[static_cast<std::size_t>(rank) >> 6] >>
-                (rank & 63)) &
-               1;
     };
 
     // --- Relative-addressed p2p on merged classes (DESIGN.md §11) ----------
@@ -791,6 +1072,13 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 hand_members(cls[g == 0 ? ci : first + g - 1], mc, idx);
             }
         }
+        std::vector<std::uint32_t> to(members.size());
+        for (std::size_t i = 0; i < members.size(); ++i) {
+            const auto g = static_cast<std::size_t>(
+                std::find(order.begin(), order.end(), glabels[i]) - order.begin());
+            to[i] = g == 0 ? ci : static_cast<std::uint32_t>(first + g - 1);
+        }
+        msgs.split(ci, members, to, first);
     };
 
     // Hop-tier signature of a relative send from member `m`: -1 when source
@@ -813,72 +1101,25 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                np.msg_overhead_s;
     };
 
-    // Collapse-path classes always carry `members`; singletons from the
-    // uncollapsed path or a full split leave it empty.
-    const auto each_member = [&](const SimClass& s, auto&& f) {
-        if (s.members.empty()) {
-            f(s.rep);
-        } else {
-            for (const int m : s.members) f(m);
-        }
-    };
-
     /// "No pending match" signature: the all-ones NaN bit pattern, which a
     /// finite completion time can never produce.
     constexpr std::uint64_t kNoMatch = ~std::uint64_t{0};
-    struct RelHit {
-        std::uint32_t slot = UINT32_MAX;  ///< qarena slot, UINT32_MAX = none
-        std::uint32_t idx = 0;
-        double arrival = 0;
-    };
-    std::vector<RelHit> rel_hits;  // scratch, parallel to glabels
-    // First tag match in the (m + delta -> m) FIFO — the unique candidate an
-    // explicit-source receive can consume, and (FIFO order) a choice that
-    // later deliveries can never change.
-    const auto rel_match = [&](int m, int delta, int tag) -> RelHit {
-        RelHit h;
-        if (!p2p_live) return h;
-        const auto& box = mailbox[static_cast<std::size_t>(m)];
-        const int src = m + delta;
-        for (const auto& e : box.srcs) {
-            if (e.src != src) continue;
-            const auto& sq = qarena[e.slot];
-            const Message* msgs = sq.data();
-            for (std::uint32_t i = sq.head; i < sq.size(); ++i) {
-                if (msgs[i].tag != tag) continue;
-                h.slot = e.slot;
-                h.idx = i;
-                h.arrival = msgs[i].arrival;
-                break;
-            }
-            break;
-        }
-        return h;
-    };
-    // Per-member match signatures for a relative receive over class `s`:
-    // fills rel_hits and glabels (the bit pattern of the member's completion
-    // time max(class time, arrival), or kNoMatch). Returns {any, all}.
-    const auto rel_probe = [&](const SimClass& s, int delta,
-                               int tag) -> std::pair<bool, bool> {
-        rel_hits.clear();
+    // Per-member signatures of a probed relative receive over merged class
+    // ci, into glabels: the bit pattern of the member's completion time
+    // max(class time, arrival) — or, with `clocked`, 0 — or kNoMatch.
+    const auto member_labels = [&](std::uint32_t ci, bool clocked) {
+        const SimClass& s = cls[ci];
         glabels.clear();
-        bool any = false;
-        bool all = true;
-        each_member(s, [&](int m) {
-            const RelHit h = rel_match(m, delta, tag);
-            rel_hits.push_back(h);
-            if (h.slot == UINT32_MAX) {
-                all = false;
+        for (std::size_t i = 0; i < s.members.size(); ++i) {
+            const std::optional<double> a = msgs.probed_arrival(i);
+            if (!a) {
                 glabels.push_back(kNoMatch);
+            } else if (clocked) {
+                glabels.push_back(0);
             } else {
-                any = true;
-                const double done = h.arrival > s.time ? h.arrival : s.time;
-                std::uint64_t bits;
-                std::memcpy(&bits, &done, sizeof bits);
-                glabels.push_back(bits);
+                glabels.push_back(std::bit_cast<std::uint64_t>(*a > s.time ? *a : s.time));
             }
-        });
-        return {any, all};
+        }
     };
 
     // Relative send and fully matched relative receive for a class with
@@ -886,159 +1127,138 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // stamps its own arrival, advances its own clock and adds its own wait —
     // the singleton's expressions, member by member. Such a class never
     // splits on completion time.
-    const auto member_send = [&](SimClass& s, const SendOp& snd,
+    const auto member_send = [&](std::uint32_t ci, const SendOp& snd,
                                  double p2p) __attribute__((noinline)) {
+        SimClass& s = cls[ci];
         MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
         const double inject = np.msg_overhead_s + snd.bytes / np.injection_bw;
         s.stats.injected_bytes += snd.bytes;
         ++s.stats.msgs_sent;
+        double* arrival = msgs.post_each(ci, snd.dst, snd.tag);
         for (std::size_t i = 0; i < s.members.size(); ++i) {
-            const int m = s.members[i];
-            const int dst = m + snd.dst;
-            qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], m)]
-                .push_back(Message{m, snd.tag, mc.time[i] + p2p});
+            arrival[i] = mc.time[i] + p2p;
             mc.time[i] += inject;
-            if (recv_waiting_at(dst)) {
-                wake(cls_of[static_cast<std::size_t>(dst)]);
-            }
         }
         ++s.pc;
     };
-    const auto member_recv = [&](SimClass& s) __attribute__((noinline)) {
+    const auto member_recv = [&](std::uint32_t ci,
+                                 const RecvOp& rcv) __attribute__((noinline)) {
+        SimClass& s = cls[ci];
         MemberClocks& mc = clocks[static_cast<std::size_t>(s.clk)];
-        for (std::size_t i = 0; i < rel_hits.size(); ++i) {
-            const RelHit& h = rel_hits[i];
-            qarena[h.slot].consume(h.idx);
-            if (h.arrival > mc.time[i]) {
-                mc.recv_wait[i] += h.arrival - mc.time[i];
-                mc.time[i] = h.arrival;
+        for (std::size_t i = 0; i < s.members.size(); ++i) {
+            const double a = *msgs.probed_arrival(i);
+            if (a > mc.time[i]) {
+                mc.recv_wait[i] += a - mc.time[i];
+                mc.time[i] = a;
             }
         }
+        msgs.consume(ci, rcv.src, rcv.tag);
         ++s.stats.msgs_received;
         s.blocked = BlockKind::none;
-        for (const int m : s.members) clr_recv_wait(m);
         ++s.pc;
     };
 
-    // Execute one relative SendOp for class ci (any size). Every member m
-    // sends to m + delta at the same class time with the same bytes, so with
-    // a uniform hop tier the price — and the sender-side time advance — is
-    // one shared value, while delivery stays *physical*: one message into
-    // each (m, m + delta) FIFO, exactly what the uncollapsed schedule would
-    // enqueue (so absolute receives, wildcard receives and deadlock
-    // forensics against merged senders need no special handling). When the
-    // tier differs across members (node-edge members of a block placement)
-    // the class group-splits by tier with pc unmoved instead, and the caller
+    // Execute one relative SendOp for merged class ci. Every member m sends
+    // to m + delta at the same class time with the same bytes, so with a
+    // uniform hop tier the price — and the sender-side time advance — is one
+    // shared value, and the send is ONE record in the message store: the
+    // message (m, m + delta, tag, ordinal) of every member. When the tier
+    // differs across members (node-edge members of a block placement) the
+    // class group-splits by tier with pc unmoved instead, and the caller
     // re-dispatches the now-uniform subgroups. A class with per-member
-    // clocks shares the tier and price but stamps each member's own
-    // arrival (member_send).
+    // clocks shares the tier and price but stamps each member's own arrival
+    // (member_send). Destination classes wake in first-appearance order over
+    // ascending members, the order a per-member delivery would wake them.
     const auto rel_send_exec = [&](std::uint32_t ci, const SendOp& snd) {
         ensure_p2p();
-        {
-            const SimClass& s = cls[ci];
-            ARMSTICE_CHECK(snd.bytes >= 0, "negative message size");
-            each_member(s, [&](int m) {
-                const int dst = m + snd.dst;
-                ARMSTICE_CHECK(dst >= 0 && dst < n, "send dst out of range");
-            });
-        }
-        int tier = 0;
-        if (cls[ci].size <= 1) {
-            tier = rel_tier(cls[ci].rep, snd.dst);
-        } else {
-            auto& s = cls[ci];
-            bool cached = false;
-            for (const auto& [d, t] : s.rel_tiers) {
-                if (d == snd.dst) {
-                    tier = t;
-                    cached = true;
-                    break;
-                }
-            }
-            if (!cached) {
-                const int t0 = rel_tier(s.members[0], snd.dst);
-                bool uniform = true;
-                glabels.clear();
-                for (const int m : s.members) {
-                    const int t = rel_tier(m, snd.dst);
-                    glabels.push_back(static_cast<std::uint32_t>(t));
-                    uniform = uniform && t == t0;
-                }
-                if (!uniform) {
-                    split_groups(ci, SplitWhy::placement);
-                    return;
-                }
-                s.rel_tiers.emplace_back(snd.dst, t0);
-                tier = t0;
-            }
-        }
         auto& s = cls[ci];
+        ARMSTICE_CHECK(snd.bytes >= 0, "negative message size");
+        ARMSTICE_CHECK(s.members.front() + snd.dst >= 0 && s.members.back() + snd.dst < n,
+                       "send dst out of range");
+        int tier = 0;
+        bool cached = false;
+        for (const auto& [d, t] : s.rel_tiers) {
+            if (d == snd.dst) {
+                tier = t;
+                cached = true;
+                break;
+            }
+        }
+        if (!cached) {
+            const int t0 = rel_tier(s.members[0], snd.dst);
+            bool uniform = true;
+            glabels.clear();
+            for (const int m : s.members) {
+                const int t = rel_tier(m, snd.dst);
+                glabels.push_back(static_cast<std::uint32_t>(t));
+                uniform = uniform && t == t0;
+            }
+            if (!uniform) {
+                split_groups(ci, SplitWhy::placement);
+                return;
+            }
+            s.rel_tiers.emplace_back(snd.dst, t0);
+            tier = t0;
+        }
         const double p2p = tier_price(tier, snd.bytes);
         if (s.clk >= 0) [[unlikely]] {
-            member_send(s, snd, p2p);
-            return;
+            member_send(ci, snd, p2p);
+        } else {
+            const double inject = np.msg_overhead_s + snd.bytes / np.injection_bw;
+            msgs.post(ci, snd.dst, snd.tag, s.time + p2p);
+            s.time += inject;
+            s.stats.injected_bytes += snd.bytes;
+            ++s.stats.msgs_sent;
+            ++s.pc;
         }
-        const double arrival = s.time + p2p;
-        const double inject = np.msg_overhead_s + snd.bytes / np.injection_bw;
-        s.time += inject;
-        s.stats.injected_bytes += snd.bytes;
-        ++s.stats.msgs_sent;
-        each_member(s, [&](int m) {
-            const int dst = m + snd.dst;
-            qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], m)]
-                .push_back(Message{m, snd.tag, arrival});
-            if (recv_waiting_at(dst)) {
-                wake(cls_of[static_cast<std::size_t>(dst)]);
-            }
-        });
-        ++s.pc;
+        for (const MsgStore::Peer& p : msgs.peers(ci, snd.dst)) wake_receiver(p.cls);
     };
 
-    // Execute one relative RecvOp for class ci (any size). Each member m
-    // matches its own (m + delta -> m) FIFO exactly as a singleton would;
-    // the class advances merged only when every member has a match and all
-    // completion times agree bit-for-bit — or, with per-member clocks, as
-    // soon as every member has a match. A *partial* match blocks rather
-    // than splits: an explicit-source FIFO match is fixed once present, so
-    // waiting for the stragglers' senders is schedule-equivalent, and the
-    // transient rounds where some members' senders simply have not run yet
-    // must not shatter the class — genuinely asymmetric cases are
-    // group-split at quiescence. All-matched with disagreeing completions
-    // splits immediately (more deliveries cannot change a fixed match).
-    // Returns true when the class blocked; false when it matched (pc
-    // advanced) or group-split (pc unmoved, caller re-dispatches).
+    // Execute one relative RecvOp for merged class ci. Member m takes the
+    // next message of the tag from m + delta, exactly as a singleton would;
+    // the store resolves the members by source class. The class advances
+    // merged only when every member has its message and all completion
+    // times agree bit-for-bit — or, with per-member clocks, as soon as every
+    // member has its message. A *partial* match blocks rather than splits:
+    // an explicit-source match is fixed once sent, so waiting for the
+    // stragglers' senders is schedule-equivalent, and the transient rounds
+    // where some members' senders simply have not run yet must not shatter
+    // the class — genuinely asymmetric cases are group-split at quiescence.
+    // All-matched with disagreeing completions splits immediately (more
+    // sends cannot change a fixed match). Returns true when the class
+    // blocked; false when it matched (pc advanced) or group-split (pc
+    // unmoved, caller re-dispatches).
     const auto rel_recv_exec = [&](std::uint32_t ci, const RecvOp& rcv) -> bool {
         {
             const SimClass& s = cls[ci];
-            each_member(s, [&](int m) {
-                const int src = m + rcv.src;
-                ARMSTICE_CHECK(src >= 0 && src < n, "recv src out of range");
-            });
+            ARMSTICE_CHECK(s.members.front() + rcv.src >= 0 &&
+                               s.members.back() + rcv.src < n,
+                           "recv src out of range");
         }
         auto& s = cls[ci];
         s.want_src = rcv.src;
         s.want_tag = rcv.tag;
         s.want_rel = true;
-        const auto [any, all] = rel_probe(s, rcv.src, rcv.tag);
-        (void)any;
-        if (!all) {
+        if (!msgs.probe(ci, rcv.src, rcv.tag).all) {
             s.blocked = BlockKind::recv;
-            each_member(s, [&](int m) { set_recv_wait(m); });
             return true;
         }
         if (s.clk >= 0) [[unlikely]] {
-            member_recv(s);
+            member_recv(ci, rcv);
             return false;
         }
-        bool uniform = true;
-        for (const std::uint64_t l : glabels) uniform = uniform && l == glabels[0];
-        if (!uniform) {
-            split_groups(ci, SplitWhy::p2p);
-            return false;
+        double done = 0;
+        if (!msgs.uniform_done(s.time, done)) {
+            member_labels(ci, false);
+            bool uniform = true;
+            for (const std::uint64_t l : glabels) uniform = uniform && l == glabels[0];
+            if (!uniform) {
+                split_groups(ci, SplitWhy::p2p);
+                return false;
+            }
+            done = std::bit_cast<double>(glabels[0]);
         }
-        for (const RelHit& h : rel_hits) qarena[h.slot].consume(h.idx);
-        double done;
-        std::memcpy(&done, &glabels[0], sizeof done);
+        msgs.consume(ci, rcv.src, rcv.tag);
         // Uniform completion means either every arrival <= class time (no
         // wait anywhere) or every arrival equals `done` (> time), so the
         // per-member wait is one shared value, bit-equal to the singleton's
@@ -1049,7 +1269,6 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
         ++s.stats.msgs_received;
         s.blocked = BlockKind::none;
-        each_member(s, [&](int m) { clr_recv_wait(m); });
         ++s.pc;
         return false;
     };
@@ -1067,9 +1286,9 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         if (run_head == runnable.size()) {
             // Merged classes parked on a relative receive with a *partial*
             // match resolve first: in the uncollapsed schedule those members
-            // would have consumed their (already fixed) FIFO matches long
+            // would have consumed their (already fixed) matches long
             // before quiescence, so they must advance before any wildcard
-            // grant reads the pending-message pool. Splitting by match
+            // grant reads the pending messages. Splitting by match
             // status here — not on every transient mid-round wake — is what
             // keeps a halo's interior classes merged while boundary
             // neighbours trickle in; reaching quiescence with the mismatch
@@ -1083,18 +1302,13 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                         s.blocked != BlockKind::recv) {
                         continue;
                     }
-                    const auto [got_any, got_all] =
-                        rel_probe(s, s.want_src, s.want_tag);
-                    if (!got_any) continue;
                     const auto ci = static_cast<std::uint32_t>(i);
-                    if (!got_all) {
-                        if (s.clk >= 0) {
-                            // Per-member clocks complete each member on its
-                            // own: group by match state only.
-                            for (std::uint64_t& l : glabels) {
-                                if (l != kNoMatch) l = 0;
-                            }
-                        }
+                    const MsgStore::Match got = msgs.probe(ci, s.want_src, s.want_tag);
+                    if (!got.any) continue;
+                    if (!got.all) {
+                        // Per-member clocks complete each member on its own:
+                        // group by match state only.
+                        member_labels(ci, s.clk >= 0);
                         split_groups(ci, SplitWhy::p2p);
                         // Matched groups re-execute the receive on wake (a
                         // shared-clock group may split further by completion
@@ -1135,7 +1349,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 // sentinel but is an explicit-source wait, never a wildcard.
                 if (!s.finished && s.blocked == BlockKind::recv &&
                     !s.want_rel && s.want_src == kAnySource &&
-                    s.rep < grant_rank && find_recv(s).first != nullptr) {
+                    s.rep < grant_rank && msgs.best_any(s.rep, s.want_tag) >= 0) {
                     grant = static_cast<std::uint32_t>(i);
                     grant_rank = s.rep;
                 }
@@ -1205,7 +1419,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
         cls[ci].queued = false;
 
-        // Local copies: stores through cls/mailbox cannot alias the op
+        // Local copies: stores through cls/msgs cannot alias the op
         // stream, but the compiler cannot prove that and would otherwise
         // reload ops.data()/size() after every store. The Program pointer is
         // stable across splits (splits copy state, not the program).
@@ -1278,13 +1492,8 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 s.time += inject;
                 stats.injected_bytes += snd->bytes;
                 ++stats.msgs_sent;
-                qarena[slot_for(mailbox[static_cast<std::size_t>(dst)], r)]
-                    .push_back(Message{r, snd->tag, arrival});
-                // ANY_SOURCE waiters are not woken by sends: they resolve at
-                // quiescence only (schedule invariance).
-                if (recv_waiting_at(dst)) {
-                    wake(cls_of[static_cast<std::size_t>(dst)]);
-                }
+                msgs.post(ci, dst - r, snd->tag, arrival);
+                wake_receiver(cls_of[static_cast<std::size_t>(dst)]);
                 ++s.pc;
             } else if (tag == 2) {  // RecvOp
                 const auto* rcv = std::get_if<RecvOp>(&op);
@@ -1300,26 +1509,27 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 }
                 // ANY_SOURCE matches only with a quiescence grant (above);
                 // explicit-source matching is confluent and stays eager.
-                std::optional<Message> m;
+                bool matched = false;
+                double arrival = 0;
                 if (!rcv->is_any() || s.any_grant) {
                     s.any_grant = false;
-                    m = try_recv(s);
+                    const int src =
+                        rcv->is_any() ? msgs.best_any(r, s.want_tag) : s.want_src;
+                    matched = msgs.take(src, r, s.want_tag, arrival);
                 }
-                if (m) {
-                    if (m->arrival > s.time) {
+                if (matched) {
+                    if (arrival > s.time) {
                         if (trace) {
-                            trace->add({r, SpanKind::recv_wait, "", s.time, m->arrival});
+                            trace->add({r, SpanKind::recv_wait, "", s.time, arrival});
                         }
-                        stats.recv_wait += m->arrival - s.time;
-                        s.time = m->arrival;
+                        stats.recv_wait += arrival - s.time;
+                        s.time = arrival;
                     }
                     ++stats.msgs_received;
                     s.blocked = BlockKind::none;
-                    clr_recv_wait(r);
                     ++s.pc;
                 } else {
                     s.blocked = BlockKind::recv;
-                    if (!rcv->is_any()) set_recv_wait(r);
                     advancing = false;
                 }
             } else if (tag == 0) {  // ComputeOp
@@ -1511,6 +1721,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     // End-of-run class count: what the collapse actually sustained once
     // every split had happened (equals the initial count when nothing split).
     result.collapse_classes = static_cast<int>(cls.size());
+    result.peak_msg_records = msgs.peak();
     return result;
 }
 

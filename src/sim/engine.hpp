@@ -24,7 +24,10 @@
 // class) — the deterministic per-(rank, op) noise stretch is applied on top,
 // so memoization can never share noise draws. Per-phase seconds accumulate
 // into vectors indexed by interned PhaseId and the phase_compute map is
-// materialised only on return. Receive matching uses per-source FIFO queues.
+// materialised only on return. Messages live in one store that names each
+// by (source, destination, tag, ordinal): a class keeps one send log and one
+// receive count per (peer offset, tag) for all its members, so a merged
+// relative send is one record and a halo round costs O(classes) (§11.4).
 //
 // Scale (DESIGN.md §11): ranks sharing one Program object (ProgramBundle)
 // and one ExecContext class execute as ONE simulation class — the engine
@@ -87,13 +90,14 @@ struct RunOptions {
     /// object (ProgramBundle) and one ExecContext class execute as one
     /// simulation class until an op breaks the symmetry. Absolute p2p ops
     /// shatter the class into per-rank singletons; OS noise keeps it merged
-    /// on per-member clocks (§11.5); relative-addressed p2p (§11.4 — what the simmpi halo
-    /// helpers emit) stays merged while hop tiers and match arrivals agree
-    /// across members, and group-splits into per-signature subclasses where
-    /// they genuinely differ, so a Cartesian halo interior runs as O(surface)
-    /// classes. Results are bit-identical with the flag on or off — it is a
-    /// simulation-cost knob, never a model knob. Ignored (forced off) when a
-    /// Trace is attached.
+    /// on per-member clocks (§11.5); relative-addressed p2p (§11.4 — what
+    /// the simmpi halo helpers emit) stays merged while hop tiers and match
+    /// arrivals agree across members, and group-splits into per-signature
+    /// subclasses where they genuinely differ, so a Cartesian halo interior
+    /// runs as O(surface) classes, each sending one message record per
+    /// send for all its members. Results are bit-identical with the flag on
+    /// or off — it is a simulation-cost knob, never a model knob. Ignored
+    /// (forced off) when a Trace is attached.
     bool collapse = true;
 };
 
@@ -120,6 +124,11 @@ struct RunResult {
     int collapse_split_p2p = 0;
     int collapse_split_noise = 0;
     int collapse_split_placement = 0;
+    /// High-water mark of live message records (DESIGN.md §11.4): one per
+    /// in-flight send of a class, so a halo holds O(neighbours x classes)
+    /// however many ranks and rounds it has. A diagnostic, like the
+    /// collapse_* fields.
+    int peak_msg_records = 0;
 
     [[nodiscard]] double gflops() const {
         return makespan > 0 ? total_flops / 1e9 / makespan : 0.0;

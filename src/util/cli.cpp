@@ -89,17 +89,23 @@ std::string Cli::get(const std::string& name) const {
     return it->second;
 }
 
-long Cli::get_long(const std::string& name) const {
-    const std::string v = get(name);
-    char* end = nullptr;
-    const long out = std::strtol(v.c_str(), &end, 10);
-    ARMSTICE_CHECK(end != nullptr && *end == '\0',
-                   "option --" + name + " expects an integer, got '" + v + "'");
-    return out;
-}
-
 int Cli::get_int(const std::string& name, int lo, int hi) const {
     return parse_int(get(name), lo, hi, "option --" + name);
+}
+
+std::uint64_t Cli::get_u64(const std::string& name) const {
+    // from_chars reads no sign into an unsigned type, so "-1" and "+1" fail
+    // like any other malformed value.
+    const std::string v = get(name);
+    std::uint64_t out = 0;
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec != std::errc{} || ptr != end) {
+        throw Error(format("option --%s expects an integer in [0, %llu], got '%s'",
+                           name.c_str(), static_cast<unsigned long long>(UINT64_MAX),
+                           v.c_str()));
+    }
+    return out;
 }
 
 double Cli::get_double(const std::string& name) const {

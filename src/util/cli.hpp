@@ -3,6 +3,7 @@
 // --flag, --key=value and --key value options plus positionals, with typed
 // accessors and a generated usage string.
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,10 +25,13 @@ public:
 
     [[nodiscard]] bool has(const std::string& name) const;
     [[nodiscard]] std::string get(const std::string& name) const;
-    [[nodiscard]] long get_long(const std::string& name) const;
     /// Integer option in [lo, hi]; throws util::Error on a malformed,
     /// overflowing or out-of-range value instead of narrowing it.
     [[nodiscard]] int get_int(const std::string& name, int lo, int hi) const;
+    /// Unsigned 64-bit option (a seed); throws util::Error on an empty value,
+    /// a sign, trailing characters or a value above 2^64 - 1 instead of
+    /// wrapping it.
+    [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;
     [[nodiscard]] double get_double(const std::string& name) const;
     [[nodiscard]] const std::vector<std::string>& positionals() const {
         return positionals_given_;

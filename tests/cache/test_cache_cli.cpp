@@ -6,6 +6,7 @@
 #include "core/runner.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/str.hpp"
 
 #include <gtest/gtest.h>
 
@@ -91,7 +92,7 @@ TEST(CacheFooter, ReportsDiskHitRateWhenCacheEnabled) {
     std::vector<ac::SweepPoint> pts;
     for (int i = 0; i < 5; ++i) {
         pts.push_back(ac::sweep_point("footer", "A64FX", 1, 1, 1,
-                                      "p" + std::to_string(i)));
+                                      au::format("p%d", i)));
     }
     const auto eval = [](const ac::SweepPoint&, std::size_t i) {
         return static_cast<int>(i);

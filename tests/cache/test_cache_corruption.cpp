@@ -10,6 +10,7 @@
 #include "util/fileio.hpp"
 #include "util/log.hpp"
 #include "util/serialize.hpp"
+#include "util/str.hpp"
 
 #include <gtest/gtest.h>
 
@@ -193,7 +194,7 @@ std::vector<ac::SweepPoint> corruption_points() {
     std::vector<ac::SweepPoint> pts;
     for (int i = 0; i < 6; ++i) {
         pts.push_back(ac::sweep_point("corrupt-e2e", "A64FX", 1, 1, 1,
-                                      "p" + std::to_string(i)));
+                                      au::format("p%d", i)));
     }
     return pts;
 }

@@ -11,6 +11,7 @@
 #include "util/fileio.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
+#include "util/str.hpp"
 #include "util/threadpool.hpp"
 
 #include <gtest/gtest.h>
@@ -205,7 +206,7 @@ TEST_F(CacheFuzz, WarmRerunIsBitIdenticalToColdAtJobs1And8) {
     std::vector<ac::SweepPoint> pts;
     for (int i = 0; i < 24; ++i) {
         pts.push_back(ac::sweep_point("warmcold", "A64FX", 1 + i % 4, 4, 12,
-                                      "p" + std::to_string(i)));
+                                      au::format("p%d", i)));
     }
     // Evaluation produces "awkward" doubles so equality is a real bit test.
     const auto eval = [](const ac::SweepPoint& p, std::size_t i) {
@@ -237,7 +238,7 @@ TEST_F(CacheFuzz, ConcurrentWritersNeverTearEntries) {
     ac::CacheStore store(dir().c_str(), 1);
     constexpr int kKeys = 8;
     const auto payload_for = [](int key, int gen) {
-        std::string p = "k" + std::to_string(key) + ":g" + std::to_string(gen) + ":";
+        std::string p = au::format("k%d:g%d:", key, gen);
         p += std::string(512 + static_cast<std::size_t>(gen) * 7, static_cast<char>('a' + key));
         return p;
     };

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,7 @@ TEST(Cli, DefaultsApply) {
     auto cli = make_cli();
     parse(cli, {"run"});
     EXPECT_EQ(cli.get("nodes"), "1");
-    EXPECT_EQ(cli.get_long("nodes"), 1);
+    EXPECT_EQ(cli.get_int("nodes", 1, 64), 1);
     EXPECT_FALSE(cli.has("verbose"));
     ASSERT_EQ(cli.positionals().size(), 1u);
     EXPECT_EQ(cli.positionals()[0], "run");
@@ -42,7 +43,7 @@ TEST(Cli, DefaultsApply) {
 TEST(Cli, EqualsAndSpaceSyntax) {
     auto cli = make_cli();
     parse(cli, {"run", "--nodes=8", "--system", "A64FX"});
-    EXPECT_EQ(cli.get_long("nodes"), 8);
+    EXPECT_EQ(cli.get_int("nodes", 1, 64), 8);
     EXPECT_EQ(cli.get("system"), "A64FX");
 }
 
@@ -76,7 +77,7 @@ TEST(Cli, FlagWithValueThrows) {
 TEST(Cli, TypedAccessorsValidate) {
     auto cli = make_cli();
     parse(cli, {"--nodes", "notanumber"});
-    EXPECT_THROW((void)cli.get_long("nodes"), au::Error);
+    EXPECT_THROW((void)cli.get_int("nodes", 1, 64), au::Error);
     auto cli2 = make_cli();
     parse(cli2, {"--nodes", "2.5"});
     EXPECT_DOUBLE_EQ(cli2.get_double("nodes"), 2.5);
@@ -133,4 +134,24 @@ TEST(Cli, IntReaderRejectsBadValuesInsteadOfNarrowing) {
     auto cli = make_cli();
     parse(cli, {"--nodes", "-1"});
     EXPECT_EQ(cli.get_int("nodes", -1, 65535), -1);  // bounds are per option
+}
+
+TEST(Cli, U64ReaderRejectsSignsOverflowAndJunk) {
+    // Seeds used to go through a signed reader and a cast: "-1" ran as
+    // 18446744073709551615 and 99999999999999999999 as 9223372036854775807.
+    for (const std::string bad :
+         {"-1", "18446744073709551616", "99999999999999999999", "12x", "", "+1", " 1"}) {
+        auto cli = make_cli();
+        const std::string arg = "--nodes=" + bad;
+        parse(cli, {arg.c_str()});
+        EXPECT_THROW((void)cli.get_u64("nodes"), au::Error) << "'" << bad << "'";
+    }
+    for (const auto& [text, want] :
+         std::vector<std::pair<std::string, std::uint64_t>>{
+             {"0", 0}, {"1", 1}, {"18446744073709551615", UINT64_MAX}}) {
+        auto cli = make_cli();
+        const std::string arg = "--nodes=" + text;
+        parse(cli, {arg.c_str()});
+        EXPECT_EQ(cli.get_u64("nodes"), want) << text;
+    }
 }

@@ -17,7 +17,7 @@ namespace {
 
 aa::ComputePhase stream_phase(double flops = 1e9, double bytes = 1e8) {
     aa::ComputePhase p;
-    p.label = "t";
+    p.label = std::string("t");
     p.flops = flops;
     p.main_bytes = bytes;
     return p;

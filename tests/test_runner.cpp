@@ -6,6 +6,7 @@
 #include "kern/par.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/str.hpp"
 #include "util/threadpool.hpp"
 
 #include <gtest/gtest.h>
@@ -112,7 +113,7 @@ TEST(SweepRunner, ResultsLandByIndexRegardlessOfCompletionOrder) {
     ac::reset_sweep_cache();
     std::vector<ac::SweepPoint> points;
     points.reserve(16);
-    for (int i = 0; i < 16; ++i) points.push_back(pt("p" + std::to_string(i)));
+    for (int i = 0; i < 16; ++i) points.push_back(pt(au::format("p%d", i)));
     const ac::SweepRunner runner(8);
     const auto out = runner.run<int>(
         points, [](const ac::SweepPoint& p, std::size_t i) {
