@@ -141,7 +141,13 @@ public:
     bool take(int src, int dst, int tag, double& arrival) {
         if (src < 0 || src >= static_cast<int>(cls_of_.size())) return false;
         Chan& rc = chan(cls_of_[static_cast<std::size_t>(dst)], src - dst, tag);
-        Chan* sc = find(cls_of_[static_cast<std::size_t>(src)], dst - src, tag);
+        const std::uint32_t si = cls_of_[static_cast<std::size_t>(src)];
+        Chan* sc = nullptr;
+        if (rc.peer != kNone) {
+            sc = &chans_[si].chans[rc.peer];
+        } else if ((sc = find(si, dst - src, tag)) != nullptr) {
+            rc.peer = static_cast<std::uint32_t>(sc - chans_[si].chans.data());
+        }
         if (sc == nullptr || sc->sent <= rc.got) return false;
         const std::uint32_t id = record_at(*sc, rc.got);
         arrival = arrival_of(id, src);
@@ -261,6 +267,10 @@ private:
         std::uint32_t live = 0;
         std::uint32_t head = kNone;
         std::uint32_t tail = kNone;
+        /// For a singleton's receive channel: where its source's send
+        /// channel sits in the source class's list. Lists only grow and a
+        /// split copies them in order, so the index holds for good.
+        std::uint32_t peer = kNone;
     };
     /// peers(ci, off), valid while no class has split since `epoch`.
     struct PeerCache {
