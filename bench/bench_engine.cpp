@@ -102,7 +102,7 @@ am::ProgramSet hpcg_skeleton(int ranks, int iters) {
 }
 
 /// COSA-shaped skeleton: the paper's 800-block harmonic-balance case with
-/// round-robin block ownership — a per-rank block sweep, a ring halo
+/// round-robin block ownership — a per-rank block sweep, a chain halo
 /// exchange among active ranks, and a residual allreduce per iteration. At
 /// 1024 ranks a quarter of the ranks own no blocks (exactly the imbalance
 /// regime of Fig 4). Mirrors apps/cosa/cosa.cpp.
@@ -112,19 +112,9 @@ am::ProgramSet cosa_skeleton(int ranks, int iters) {
     std::vector<int> blocks_of(static_cast<std::size_t>(ranks), 0);
     for (int b = 0; b < kBlocks; ++b) blocks_of[static_cast<std::size_t>(b % ranks)]++;
 
-    std::vector<std::vector<int>> neighbors(static_cast<std::size_t>(ranks));
-    std::vector<std::vector<double>> halo(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < active; ++r) {
-        const double b = 4.6e5 * blocks_of[static_cast<std::size_t>(r)];
-        if (r > 0) {
-            neighbors[static_cast<std::size_t>(r)].push_back(r - 1);
-            halo[static_cast<std::size_t>(r)].push_back(b);
-        }
-        if (r + 1 < active) {
-            neighbors[static_cast<std::size_t>(r)].push_back(r + 1);
-            halo[static_cast<std::size_t>(r)].push_back(b);
-        }
-    }
+    const auto neighbors = am::chain_neighbors(ranks, active);
+    std::vector<double> halo(static_cast<std::size_t>(ranks));
+    for (std::size_t r = 0; r < halo.size(); ++r) halo[r] = 4.6e5 * blocks_of[r];
 
     am::ProgramSet ps(ranks);
     ps.mark("cosa-hb-mg");

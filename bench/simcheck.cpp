@@ -181,7 +181,9 @@ Smoke halo_collapse_smoke(int ranks) {
     out.noisy_classes = noisy.collapse_classes;
     out.msg_records = quiet.peak_msg_records;
     std::size_t degree = 0;
-    for (const auto& nb : neighbors) degree = std::max(degree, nb.size());
+    for (int r = 0; r < neighbors.ranks(); ++r) {
+        degree = std::max(degree, neighbors.neighbors(r).size());
+    }
     // "Far fewer": the interior must stay merged. A 3D halo has <= 27
     // structural boundary patterns; splits add node-edge and arrival-order
     // classes but never approach O(ranks).

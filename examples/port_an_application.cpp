@@ -33,8 +33,11 @@ armstice::apps::AppResult simulate_weather(const armstice::arch::SystemSpec& sys
     sweep.vector_fraction = 0.9;
     sweep.efficiency = 0.8;
 
+    // The halo graph is checked, and its per-rank shapes numbered, once when
+    // it is built: build it before the timestep loop and pass it to every
+    // halo_exchange. A hand-written graph is simmpi::HaloGraph(lists).
     const auto dims = simmpi::dims_create(ranks, 2);
-    const auto neighbors = simmpi::cart_neighbors(dims, /*periodic=*/true);
+    const simmpi::HaloGraph neighbors = simmpi::cart_neighbors(dims, /*periodic=*/true);
     const double halo_bytes = 8.0 * 60.0 * (grid / dims[0]);
 
     simmpi::ProgramSet ps(ranks);

@@ -68,12 +68,9 @@ AppResult run_cosa(const arch::SystemSpec& sys, const CosaConfig& cfg) {
     // Blocks chain: block b talks to b-1/b+1; with round-robin ownership the
     // active ranks form a chain neighbourhood.
     const auto neighbors = simmpi::chain_neighbors(ranks, dist.active_ranks);
-    std::vector<std::vector<double>> halo_bytes(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < dist.active_ranks; ++r) {
-        const double b = halo_bytes_per_block *
-                         dist.blocks_of[static_cast<std::size_t>(r)];
-        halo_bytes[static_cast<std::size_t>(r)].assign(
-            neighbors[static_cast<std::size_t>(r)].size(), b);
+    std::vector<double> halo_bytes(static_cast<std::size_t>(ranks));
+    for (std::size_t r = 0; r < halo_bytes.size(); ++r) {
+        halo_bytes[r] = halo_bytes_per_block * dist.blocks_of[r];
     }
 
     simmpi::ProgramSet ps(ranks);

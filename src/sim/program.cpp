@@ -103,13 +103,13 @@ PhaseId intern_phase_label(std::string_view label) {
     return phase_table().id(label);
 }
 
-std::uint32_t Program::pool_phase(arch::ComputePhase phase) {
+std::uint32_t Program::pool_phase(const arch::ComputePhase& phase) {
     for (std::size_t i = 0; i < phases.size(); ++i) {
         if (arch::same_cost_inputs(phases[i], phase) && phases[i].label == phase.label) {
             return static_cast<std::uint32_t>(i);
         }
     }
-    phases.push_back(std::move(phase));
+    phases.push_back(phase);
     return static_cast<std::uint32_t>(phases.size() - 1);
 }
 

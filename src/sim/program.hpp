@@ -125,10 +125,15 @@ struct Program {
     /// bitwise (same_cost_inputs + label) as ops are built.
     std::vector<arch::ComputePhase> phases;
 
-    Program& compute(arch::ComputePhase phase) {
-        const PhaseId id = intern_phase_label(phase.label);
-        const std::uint64_t key = arch::cost_signature(phase);
-        ops.emplace_back(ComputeOp{pool_phase(std::move(phase)), id, key});
+    Program& compute(const arch::ComputePhase& phase) {
+        return compute(phase, intern_phase_label(phase.label), arch::cost_signature(phase));
+    }
+    /// Pre-keyed append for callers that append one phase to many programs:
+    /// `label_id` and `cost_key` must be intern_phase_label(phase.label) and
+    /// arch::cost_signature(phase).
+    Program& compute(const arch::ComputePhase& phase, PhaseId label_id,
+                     std::uint64_t cost_key) {
+        ops.emplace_back(ComputeOp{pool_phase(phase), label_id, cost_key});
         return *this;
     }
     Program& send(int dst, double bytes, int tag = 0) {
@@ -186,8 +191,8 @@ struct Program {
     bool operator==(const Program& o) const;
 
 private:
-    /// Index of `phase` in `phases`, appending if new.
-    std::uint32_t pool_phase(arch::ComputePhase phase);
+    /// Index of `phase` in `phases`, appending a copy if new.
+    std::uint32_t pool_phase(const arch::ComputePhase& phase);
 };
 
 /// A set of rank programs with structural sharing: structurally identical

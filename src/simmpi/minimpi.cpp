@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
+#include <unordered_map>
 #include <utility>
 
 namespace armstice::simmpi {
@@ -64,70 +66,89 @@ std::vector<V> regroup(std::vector<sim::Program>& classes,
     return variants;
 }
 
-/// The checks every halo_exchange call makes on its graph: one neighbour
-/// list per rank, every neighbour a rank, and every edge symmetric (a rank
-/// receives from everyone it sends to; the apps in this repo all use
-/// symmetric halo graphs).
-void check_halo_graph(const std::vector<std::vector<int>>& neighbors, int ranks) {
-    ARMSTICE_CHECK(static_cast<int>(neighbors.size()) == ranks,
-                   "neighbor lists must cover all ranks");
-    for (const auto& nb : neighbors) {
-        for (const int n : nb) {
-            ARMSTICE_CHECK(n >= 0 && n < ranks, "neighbor out of range");
-        }
-    }
-    for (int r = 0; r < ranks; ++r) {
-        for (const int n : neighbors[static_cast<std::size_t>(r)]) {
-            const auto& back = neighbors[static_cast<std::size_t>(n)];
-            ARMSTICE_CHECK(std::find(back.begin(), back.end(), r) != back.end(),
-                           "halo graph must be symmetric");
-        }
-    }
-}
-
-/// Appends a halo exchange over an already checked graph; `bytes(r, i)` is
-/// what rank r sends to neighbors[r][i]. Emits *relative* p2p ops (dst/src
-/// as rank offsets): the offsets are the neighbour relationship itself, so
-/// every interior rank of a Cartesian halo builds the same program and stays
-/// in one class, and the engine's rank-equivalence collapse (DESIGN.md §11)
+/// Appends a halo exchange over `graph`; `bytes(r)` is what rank r sends to
+/// each of its neighbours. Emits *relative* p2p ops (dst/src as rank
+/// offsets): the offsets are the neighbour relationship itself, so every
+/// interior rank of a Cartesian halo builds the same program and stays in
+/// one class, and the engine's rank-equivalence collapse (DESIGN.md §11)
 /// executes the whole interior as O(surface) merged classes instead of
 /// O(ranks) singletons — the simulated timings are identical to the
 /// absolute form either way.
 template <typename Bytes>
 void emit_halo(std::vector<sim::Program>& classes,
-               std::vector<std::uint32_t>& class_of,
-               const std::vector<std::vector<int>>& neighbors, const Bytes& bytes,
-               int tag) {
-    // A rank's variant is its ordered (offset, bytes) list, bytes compared
-    // bitwise as Program::structure_hash sees them. The variant is the rank
-    // itself; ranks are compared through the graph.
+               std::vector<std::uint32_t>& class_of, const HaloGraph& graph,
+               const Bytes& bytes, int tag) {
+    // A rank's variant is its shape plus its byte count, compared bitwise as
+    // Program::structure_hash sees it. A rank without neighbours appends
+    // nothing, so its byte count must not split its class. The variant is
+    // the rank itself; ranks are compared through the graph.
     const auto same = [&](int a, int b) {
-        const auto& na = neighbors[static_cast<std::size_t>(a)];
-        const auto& nb = neighbors[static_cast<std::size_t>(b)];
-        if (na.size() != nb.size()) return false;
-        for (std::size_t i = 0; i < na.size(); ++i) {
-            if (na[i] - a != nb[i] - b ||
-                std::bit_cast<std::uint64_t>(bytes(a, i)) !=
-                    std::bit_cast<std::uint64_t>(bytes(b, i))) {
-                return false;
-            }
-        }
-        return true;
+        return graph.shape_of(a) == graph.shape_of(b) &&
+               (graph.neighbors(a).empty() ||
+                std::bit_cast<std::uint64_t>(bytes(a)) ==
+                    std::bit_cast<std::uint64_t>(bytes(b)));
     };
     const std::vector<int> reps =
         regroup<int>(classes, class_of, [](int r) { return r; }, same);
     for (std::size_t c = 0; c < classes.size(); ++c) {
         const int r = reps[c];
-        const auto& nb = neighbors[static_cast<std::size_t>(r)];
+        const double b = bytes(r);
         // All sends first, then one receive per inbound edge.
-        for (std::size_t i = 0; i < nb.size(); ++i) {
-            classes[c].send_rel(nb[i] - r, bytes(r, i), tag);
-        }
-        for (const int n : nb) classes[c].recv_rel(n - r, tag);
+        for (const int n : graph.neighbors(r)) classes[c].send_rel(n - r, b, tag);
+        for (const int n : graph.neighbors(r)) classes[c].recv_rel(n - r, tag);
     }
 }
 
+/// Hash of a rank's ordered offset list, for numbering shapes.
+struct OffsetsHash {
+    std::size_t operator()(const std::vector<int>& offsets) const {
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (const int o : offsets) {
+            h ^= static_cast<std::uint32_t>(o);
+            h *= 0x100000001b3ULL;
+        }
+        return static_cast<std::size_t>(h);
+    }
+};
+
 } // namespace
+
+HaloGraph::HaloGraph(const std::vector<std::vector<int>>& neighbors) {
+    for (const auto& nb : neighbors) {
+        adj_.insert(adj_.end(), nb.begin(), nb.end());
+        begin_.push_back(adj_.size());
+    }
+    finish();
+}
+
+void HaloGraph::finish() {
+    const auto n = static_cast<int>(begin_.size() - 1);
+    // Every neighbour a rank, listed once, and every edge symmetric: a rank
+    // receives from everyone it sends to (the apps in this repo all use
+    // symmetric halo graphs).
+    for (int r = 0; r < n; ++r) {
+        const auto nb = neighbors(r);
+        for (auto it = nb.begin(); it != nb.end(); ++it) {
+            ARMSTICE_CHECK(*it >= 0 && *it < n, "neighbor out of range");
+            ARMSTICE_CHECK(std::find(nb.begin(), it, *it) == it,
+                           "neighbor listed twice in one list");
+            const auto back = neighbors(*it);
+            ARMSTICE_CHECK(std::find(back.begin(), back.end(), r) != back.end(),
+                           "halo graph must be symmetric");
+        }
+    }
+    std::unordered_map<std::vector<int>, std::uint32_t, OffsetsHash> ids;
+    std::vector<int> offsets;
+    shape_of_.resize(static_cast<std::size_t>(n));
+    for (int r = 0; r < n; ++r) {
+        offsets.clear();
+        for (const int m : neighbors(r)) offsets.push_back(m - r);
+        const auto [it, added] =
+            ids.try_emplace(offsets, static_cast<std::uint32_t>(first_of_shape_.size()));
+        if (added) first_of_shape_.push_back(r);
+        shape_of_[static_cast<std::size_t>(r)] = it->second;
+    }
+}
 
 ProgramSet::ProgramSet(int ranks) {
     ARMSTICE_CHECK(ranks >= 1, "ProgramSet needs >=1 rank");
@@ -136,7 +157,9 @@ ProgramSet::ProgramSet(int ranks) {
 }
 
 ProgramSet& ProgramSet::compute(const arch::ComputePhase& phase) {
-    for (auto& p : classes_) p.compute(phase);
+    const sim::PhaseId id = sim::intern_phase_label(phase.label);
+    const std::uint64_t key = arch::cost_signature(phase);
+    for (auto& p : classes_) p.compute(phase, id, key);
     return *this;
 }
 
@@ -149,7 +172,7 @@ ProgramSet& ProgramSet::compute_by_rank(
             return arch::same_cost_inputs(a, b) && a.label == b.label;
         });
     for (std::size_t c = 0; c < classes_.size(); ++c) {
-        classes_[c].compute(std::move(phases[c]));
+        classes_[c].compute(phases[c]);
     }
     return *this;
 }
@@ -170,33 +193,25 @@ ProgramSet& ProgramSet::alltoall(double bytes_each) {
 }
 
 ProgramSet& ProgramSet::mark(const std::string& label) {
-    for (auto& p : classes_) p.mark(label);
+    const sim::PhaseId id = sim::intern_phase_label(label);
+    for (auto& p : classes_) p.ops.emplace_back(sim::MarkOp{id});
     return *this;
 }
 
-ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
-                                      const std::vector<std::vector<double>>& bytes,
+ProgramSet& ProgramSet::halo_exchange(const HaloGraph& graph, double bytes_per_neighbor,
                                       int tag) {
-    check_halo_graph(neighbors, ranks());
-    ARMSTICE_CHECK(bytes.size() == neighbors.size(), "bytes lists must match");
-    for (std::size_t r = 0; r < neighbors.size(); ++r) {
-        ARMSTICE_CHECK(neighbors[r].size() == bytes[r].size(),
-                       "neighbor/bytes length mismatch");
-    }
-    emit_halo(classes_, class_of_, neighbors,
-              [&bytes](int r, std::size_t i) {
-                  return bytes[static_cast<std::size_t>(r)][i];
-              },
+    ARMSTICE_CHECK(graph.ranks() == ranks(), "halo graph must cover all ranks");
+    emit_halo(classes_, class_of_, graph, [bytes_per_neighbor](int) { return bytes_per_neighbor; },
               tag);
     return *this;
 }
 
-ProgramSet& ProgramSet::halo_exchange(const std::vector<std::vector<int>>& neighbors,
-                                      double bytes_per_neighbor, int tag) {
-    check_halo_graph(neighbors, ranks());
-    emit_halo(classes_, class_of_, neighbors,
-              [bytes_per_neighbor](int, std::size_t) { return bytes_per_neighbor; },
-              tag);
+ProgramSet& ProgramSet::halo_exchange(const HaloGraph& graph, const std::vector<double>& bytes,
+                                      int tag) {
+    ARMSTICE_CHECK(graph.ranks() == ranks(), "halo graph must cover all ranks");
+    ARMSTICE_CHECK(bytes.size() == class_of_.size(), "halo bytes need one value per rank");
+    emit_halo(classes_, class_of_, graph,
+              [&bytes](int r) { return bytes[static_cast<std::size_t>(r)]; }, tag);
     return *this;
 }
 
@@ -266,19 +281,22 @@ std::vector<int> dims_create(int p, int ndims) {
     return dims;
 }
 
-std::vector<std::vector<int>> cart_neighbors(const std::vector<int>& dims,
-                                             bool periodic) {
+HaloGraph cart_neighbors(const std::vector<int>& dims, bool periodic) {
     int p = 1;
-    for (int d : dims) {
+    for (const int d : dims) {
         ARMSTICE_CHECK(d >= 1, "bad cart dims");
+        ARMSTICE_CHECK(p <= INT_MAX / d, "cart dims product exceeds INT_MAX ranks");
         p *= d;
     }
     // Rank r has coordinate r / stride % d along a dim of extent d, where
     // stride is the product of the lower dims; stepping that coordinate from
     // c to w moves the rank by (w - c) * stride.
-    std::vector<std::vector<int>> out(static_cast<std::size_t>(p));
+    const auto split_dims = std::count_if(dims.begin(), dims.end(), [](int d) { return d > 1; });
+    HaloGraph g;
+    g.begin_.reserve(static_cast<std::size_t>(p) + 1);
+    g.adj_.reserve(static_cast<std::size_t>(p) * 2 * static_cast<std::size_t>(split_dims));
     for (int r = 0; r < p; ++r) {
-        auto& v = out[static_cast<std::size_t>(r)];
+        const auto first = static_cast<std::ptrdiff_t>(g.adj_.size());
         int stride = 1;
         for (const int d : dims) {
             const int c = r / stride % d;
@@ -288,28 +306,36 @@ std::vector<std::vector<int>> cart_neighbors(const std::vector<int>& dims,
                         if (!periodic) continue;
                         w = (w + d) % d;
                     }
-                    v.push_back(r + (w - c) * stride);
+                    g.adj_.push_back(r + (w - c) * stride);
                 }
             }
             stride *= d;
         }
         // Periodic dims of size 2 produce the same neighbour twice; dedupe.
-        std::sort(v.begin(), v.end());
-        v.erase(std::unique(v.begin(), v.end()), v.end());
+        const auto nb = g.adj_.begin() + first;
+        std::sort(nb, g.adj_.end());
+        g.adj_.erase(std::unique(nb, g.adj_.end()), g.adj_.end());
+        g.begin_.push_back(g.adj_.size());
     }
-    return out;
+    g.finish();
+    return g;
 }
 
-std::vector<std::vector<int>> chain_neighbors(int ranks, int active) {
+HaloGraph chain_neighbors(int ranks, int active) {
     ARMSTICE_CHECK(ranks >= 1, "chain_neighbors needs >=1 rank");
     if (active < 0) active = ranks;
     ARMSTICE_CHECK(active <= ranks, "active ranks exceed rank count");
-    std::vector<std::vector<int>> out(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < active; ++r) {
-        if (r > 0) out[static_cast<std::size_t>(r)].push_back(r - 1);
-        if (r + 1 < active) out[static_cast<std::size_t>(r)].push_back(r + 1);
+    HaloGraph g;
+    g.begin_.reserve(static_cast<std::size_t>(ranks) + 1);
+    for (int r = 0; r < ranks; ++r) {
+        if (r < active) {
+            if (r > 0) g.adj_.push_back(r - 1);
+            if (r + 1 < active) g.adj_.push_back(r + 1);
+        }
+        g.begin_.push_back(g.adj_.size());
     }
-    return out;
+    g.finish();
+    return g;
 }
 
 } // namespace armstice::simmpi

@@ -41,13 +41,14 @@ am::ProgramSet fig_skeleton(int ranks, int iters) {
     am::ProgramSet ps(ranks);
     const auto spmv = phase("spmv", 2.4e7, 1.5e8);
     const auto axpy = phase("axpy", 1.0e6, 2.4e7);
-    std::vector<std::vector<int>> neighbors(static_cast<std::size_t>(ranks));
+    std::vector<std::vector<int>> ring(static_cast<std::size_t>(ranks));
     for (int r = 0; r < ranks; ++r) {
         if (ranks > 1) {
-            neighbors[static_cast<std::size_t>(r)].push_back((r + 1) % ranks);
-            neighbors[static_cast<std::size_t>(r)].push_back((r + ranks - 1) % ranks);
+            ring[static_cast<std::size_t>(r)].push_back((r + 1) % ranks);
+            ring[static_cast<std::size_t>(r)].push_back((r + ranks - 1) % ranks);
         }
     }
+    const am::HaloGraph neighbors(ring);
     for (int it = 0; it < iters; ++it) {
         if (ranks > 1) ps.halo_exchange(neighbors, 2.1e5);
         ps.compute(spmv);

@@ -60,9 +60,9 @@ as::RunOptions no_collapse() {
 
 /// Halo-dominated SPMD iteration: exchange + spmv + allreduce, the op mix of
 /// the paper's halo apps (hpcg/cosa skeletons) boiled down to its shape.
-am::ProgramSet halo_app(const std::vector<std::vector<int>>& neighbors,
-                        int iters, double bytes = 1.0e5) {
-    am::ProgramSet ps(static_cast<int>(neighbors.size()));
+am::ProgramSet halo_app(const am::HaloGraph& neighbors, int iters,
+                        double bytes = 1.0e5) {
+    am::ProgramSet ps(neighbors.ranks());
     const auto spmv = phase("spmv", 2.4e7, 1.5e8);
     for (int it = 0; it < iters; ++it) {
         ps.halo_exchange(neighbors, bytes, /*tag=*/100 + it);
@@ -72,13 +72,13 @@ am::ProgramSet halo_app(const std::vector<std::vector<int>>& neighbors,
     return ps;
 }
 
-std::vector<std::vector<int>> ring_neighbors(int ranks) {
+am::HaloGraph ring_neighbors(int ranks) {
     std::vector<std::vector<int>> nbrs(static_cast<std::size_t>(ranks));
     for (int r = 0; r < ranks; ++r) {
         nbrs[static_cast<std::size_t>(r)].push_back((r + 1) % ranks);
         nbrs[static_cast<std::size_t>(r)].push_back((r + ranks - 1) % ranks);
     }
-    return nbrs;
+    return am::HaloGraph(nbrs);
 }
 
 #define EXPECT_BITEQ(a, b, what)                                          \

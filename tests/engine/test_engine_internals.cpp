@@ -151,6 +151,7 @@ TEST(ProgramBundle, EqualCostDifferentLabelStaysDistinct) {
 am::ProgramSet mixed_workload(int ranks, int iters) {
     // SPMD prefix, then a rank-dependent middle (splits the one class of
     // ranks), then more SPMD — exercises class sharing AND per-class appends.
+    const am::HaloGraph pair({{1}, {0}});
     am::ProgramSet ps(ranks);
     ps.mark("mixed");
     for (int it = 0; it < iters; ++it) {
@@ -158,7 +159,7 @@ am::ProgramSet mixed_workload(int ranks, int iters) {
         ps.compute_by_rank([&](int r) {
             return phase("tail", 1e5 * (1 + r % 3), 8e5);
         });
-        ps.halo_exchange({{1}, {0}}, 32768.0);
+        ps.halo_exchange(pair, 32768.0);
         ps.allreduce(8);
     }
     return ps;
@@ -205,24 +206,19 @@ struct TwinBuild {
             ref[r].compute(make_phase(static_cast<int>(r)));
         }
     }
-    void halo(const std::vector<std::vector<int>>& nb,
-              const std::vector<std::vector<double>>& bytes, int tag) {
-        set.halo_exchange(nb, bytes, tag);
-        for (std::size_t r = 0; r < ref.size(); ++r) {
-            const int rank = static_cast<int>(r);
-            for (std::size_t i = 0; i < nb[r].size(); ++i) {
-                ref[r].send_rel(nb[r][i] - rank, bytes[r][i], tag);
-            }
-            for (const int n : nb[r]) ref[r].recv_rel(n - rank, tag);
-        }
+    void halo(const am::HaloGraph& g, const std::vector<double>& bytes, int tag) {
+        set.halo_exchange(g, bytes, tag);
+        for (std::size_t r = 0; r < ref.size(); ++r) emit(g, static_cast<int>(r), bytes[r], tag);
     }
-    void halo(const std::vector<std::vector<int>>& nb, double bytes, int tag) {
-        set.halo_exchange(nb, bytes, tag);
-        for (std::size_t r = 0; r < ref.size(); ++r) {
-            const int rank = static_cast<int>(r);
-            for (const int n : nb[r]) ref[r].send_rel(n - rank, bytes, tag);
-            for (const int n : nb[r]) ref[r].recv_rel(n - rank, tag);
-        }
+    void halo(const am::HaloGraph& g, double bytes, int tag) {
+        set.halo_exchange(g, bytes, tag);
+        for (std::size_t r = 0; r < ref.size(); ++r) emit(g, static_cast<int>(r), bytes, tag);
+    }
+    /// Rank r's halo, appended through the plain Program API.
+    void emit(const am::HaloGraph& g, int r, double bytes, int tag) {
+        auto& p = ref[static_cast<std::size_t>(r)];
+        for (const int n : g.neighbors(r)) p.send_rel(n - r, bytes, tag);
+        for (const int n : g.neighbors(r)) p.recv_rel(n - r, tag);
     }
 
     am::ProgramSet set;
@@ -244,13 +240,13 @@ TwinBuild seeded_build(int ranks, std::uint64_t seed) {
     const int active = 1 + pick(ranks);
     const auto chain = am::chain_neighbors(ranks, active);
     // COSA shape: blocks dealt round-robin over the active ranks, halo bytes
-    // proportional to the blocks a rank owns.
+    // proportional to the blocks a rank owns. Inactive ranks send nothing, so
+    // their (distinct) byte counts must not split their class.
     const int blocks = active + pick(2 * active + 1);
-    std::vector<std::vector<double>> block_bytes(static_cast<std::size_t>(ranks));
-    for (int r = 0; r < active; ++r) {
+    std::vector<double> block_bytes(static_cast<std::size_t>(ranks));
+    for (int r = 0; r < ranks; ++r) {
         const int owned = blocks / active + (r < blocks % active ? 1 : 0);
-        block_bytes[static_cast<std::size_t>(r)].assign(
-            chain[static_cast<std::size_t>(r)].size(), 640.0 * owned);
+        block_bytes[static_cast<std::size_t>(r)] = r < active ? 640.0 * owned : 1.0 + r;
     }
 
     TwinBuild b(ranks);
