@@ -29,6 +29,11 @@ inline constexpr std::uint32_t kRankStatsWireBytes = 48;
 
 namespace codec_detail {
 
+/// Writes one RankStats per rank, expanding each RankTable run: the layout
+/// predates run-length tables, so committed goldens and cached entries keep
+/// their bytes and tags. Every served result is one run per rank anyway
+/// (served points cannot turn OS noise off), so a run layout would save
+/// nothing on the wire (DESIGN.md §7.1).
 inline void encode_run_result(util::ByteWriter& w, const sim::RunResult& r) {
     w.f64(r.makespan);
     w.f64(r.total_flops);
@@ -70,7 +75,7 @@ inline sim::RunResult decode_run_result(util::ByteReader& r) {
         rs.injected_bytes = r.f64();
         rs.msgs_sent = r.i32();
         rs.msgs_received = r.i32();
-        out.ranks.push_back(rs);
+        out.ranks.append(rs);  // equal neighbours merge
     }
     const std::uint32_t nphases = r.u32();
     for (std::uint32_t i = 0; i < nphases && r.ok(); ++i) {

@@ -197,8 +197,10 @@ void check_placement(const PointSpec& spec) {
 }
 
 /// Reject a point whose result could never be served: its per-rank stats
-/// alone would exceed one frame. Total ranks are spec.ranks, except for
-/// COSA, where spec.ranks is ranks per node (0 = a full node).
+/// alone would exceed one frame. The codec always writes one 48-byte
+/// RankStats per rank, expanding the result's runs, so the bound is exact.
+/// Total ranks are spec.ranks, except for COSA, where spec.ranks is ranks
+/// per node (0 = a full node).
 void check_frame_bound(const PointSpec& spec, const arch::SystemSpec& sys) {
     long long ranks = spec.ranks;
     if (spec.app == "cosa") {

@@ -257,9 +257,16 @@ std::string diff_results(const RunResult& a, const RunResult& b) {
         return util::format("rank count differs: %zu vs %zu", a.ranks.size(),
                             b.ranks.size());
     }
-    for (std::size_t r = 0; r < a.ranks.size(); ++r) {
-        const RankStats& x = a.ranks[r];
-        const RankStats& y = b.ranks[r];
+    // Walk both tables run by run: each step compares the stats of the two
+    // runs covering ranks [r, end) and names rank r, the first of them.
+    std::size_t ka = 0, kb = 0;
+    for (std::size_t r = 0; r < a.ranks.size();) {
+        const RankTable::Run ra = a.ranks.run(ka);
+        const RankTable::Run rb = b.ranks.run(kb);
+        const std::size_t end_a = static_cast<std::size_t>(ra.first + ra.length);
+        const std::size_t end_b = static_cast<std::size_t>(rb.first + rb.length);
+        const RankStats& x = ra.stats;
+        const RankStats& y = rb.stats;
         const auto field = [&](const char* name, double u, double v,
                                std::string* out) {
             if (bits_eq(u, v)) return false;
@@ -282,6 +289,9 @@ std::string diff_results(const RunResult& a, const RunResult& b) {
             return util::format("rank %zu msgs_received differs: %d vs %d", r,
                                 x.msgs_received, y.msgs_received);
         }
+        r = std::min(end_a, end_b);
+        if (r == end_a) ++ka;
+        if (r == end_b) ++kb;
     }
     if (a.phase_compute.size() != b.phase_compute.size()) {
         return util::format("phase count differs: %zu vs %zu",

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <climits>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -559,22 +561,53 @@ double noise_sample(int rank, std::size_t op_index) {
     return std::min(8.0, -std::log1p(-u));
 }
 
-double RunResult::mean_compute() const {
-    double s = 0;
-    for (const auto& r : ranks) s += r.compute;
-    return ranks.empty() ? 0.0 : s / static_cast<double>(ranks.size());
+namespace {
+
+bool same_bits(const RankStats& a, const RankStats& b) {
+    const auto eq = [](double x, double y) {
+        return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+    };
+    return eq(a.finish, b.finish) && eq(a.compute, b.compute) &&
+           eq(a.recv_wait, b.recv_wait) && eq(a.collective_wait, b.collective_wait) &&
+           eq(a.injected_bytes, b.injected_bytes) && a.msgs_sent == b.msgs_sent &&
+           a.msgs_received == b.msgs_received;
 }
 
-double RunResult::mean_recv_wait() const {
+/// Mean of one field over every rank, added in rank order: add_repeat per
+/// run is bit-identical to adding each of its ranks in turn.
+double mean_of(const RankTable& t, double RankStats::*field) {
     double s = 0;
-    for (const auto& r : ranks) s += r.recv_wait;
-    return ranks.empty() ? 0.0 : s / static_cast<double>(ranks.size());
+    for (std::size_t k = 0; k < t.runs(); ++k) {
+        const RankTable::Run run = t.run(k);
+        s = util::fp::add_repeat(s, run.stats.*field, run.length);
+    }
+    return t.empty() ? 0.0 : s / static_cast<double>(t.size());
 }
+
+} // namespace
+
+void RankTable::append(const RankStats& s, int count) {
+    ARMSTICE_CHECK(count >= 1 && count <= INT_MAX - n_,
+                   "a run holds at least one rank, and a table at most INT_MAX");
+    if (stats_.empty() || !same_bits(stats_.back(), s)) {
+        start_.push_back(n_);
+        stats_.push_back(s);
+    }
+    n_ += count;
+}
+
+const RankStats& RankTable::operator[](std::size_t r) const {
+    ARMSTICE_CHECK(r < size(), "rank out of range");
+    const auto it = std::upper_bound(start_.begin(), start_.end(), static_cast<int>(r));
+    return stats_[static_cast<std::size_t>(it - start_.begin()) - 1];
+}
+
+double RunResult::mean_compute() const { return mean_of(ranks, &RankStats::compute); }
+
+double RunResult::mean_recv_wait() const { return mean_of(ranks, &RankStats::recv_wait); }
 
 double RunResult::mean_collective_wait() const {
-    double s = 0;
-    for (const auto& r : ranks) s += r.collective_wait;
-    return ranks.empty() ? 0.0 : s / static_cast<double>(ranks.size());
+    return mean_of(ranks, &RankStats::collective_wait);
 }
 
 Engine::Engine(const arch::SystemSpec& sys, Placement placement, double vec_quality,
@@ -601,10 +634,9 @@ RunResult Engine::run(const std::vector<Program>& programs, const RunOptions& op
     const int n = placement_.ranks();
     ARMSTICE_CHECK(static_cast<int>(programs.size()) == n,
                    util::format("programs (%zu) != ranks (%d)", programs.size(), n));
-    std::vector<const Program*> progs;
-    progs.reserve(programs.size());
-    for (const auto& p : programs) progs.push_back(&p);
-    return run_impl(progs, trace, opts);
+    std::vector<std::uint32_t> identity(programs.size());
+    std::iota(identity.begin(), identity.end(), 0U);
+    return run_impl(programs, identity, trace, opts);
 }
 
 RunResult Engine::run(const ProgramBundle& bundle, const RunOptions& opts,
@@ -612,13 +644,11 @@ RunResult Engine::run(const ProgramBundle& bundle, const RunOptions& opts,
     const int n = placement_.ranks();
     ARMSTICE_CHECK(bundle.ranks() == n,
                    util::format("bundle ranks (%d) != ranks (%d)", bundle.ranks(), n));
-    std::vector<const Program*> progs;
-    progs.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) progs.push_back(&bundle.of(r));
-    return run_impl(progs, trace, opts);
+    return run_impl(bundle.programs(), bundle.index(), trace, opts);
 }
 
-RunResult Engine::run_impl(const std::vector<const Program*>& progs,
+RunResult Engine::run_impl(const std::vector<Program>& programs,
+                           const std::vector<std::uint32_t>& prog_of,
                            Trace* trace, const RunOptions& opts) const {
     const int n = placement_.ranks();
 
@@ -642,7 +672,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     int memo_node = -1, memo_dom = -1, memo_span = -1;
     std::uint32_t memo_cc = 0;
     for (int r = 0; r < n; ++r) {
-        const RankLoc& l = placement_.loc(r);
+        const RankLoc l = placement_.loc(r);
         if (l.node == memo_node && l.first_domain == memo_dom &&
             l.domains_spanned == memo_span) {
             ctx_of[static_cast<std::size_t>(r)] = memo_cc;
@@ -723,29 +753,38 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
     std::vector<SimClass> cls;
     std::vector<std::uint32_t> cls_of(static_cast<std::size_t>(n), 0);
     if (collapse) {
-        std::map<std::pair<const Program*, std::uint32_t>, std::uint32_t> groups;
+        // Classes are numbered by first appearance in rank order. Neighbours
+        // mostly share (program, context class), so the map is consulted
+        // only where that key changes.
+        std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> groups;
+        std::pair<std::uint32_t, std::uint32_t> prev_key{UINT32_MAX, UINT32_MAX};
+        std::uint32_t ci = 0;
         for (int r = 0; r < n; ++r) {
-            const std::uint32_t cc = ctx_of[static_cast<std::size_t>(r)];
-            const auto key = std::make_pair(progs[static_cast<std::size_t>(r)], cc);
-            auto [it, fresh] = groups.emplace(key, static_cast<std::uint32_t>(cls.size()));
-            if (fresh) {
-                SimClass s;
-                s.prog = progs[static_cast<std::size_t>(r)];
-                s.ctx = cc;
-                s.rep = r;
-                s.size = 0;
-                cls.push_back(std::move(s));
+            const std::pair<std::uint32_t, std::uint32_t> key{
+                prog_of[static_cast<std::size_t>(r)], ctx_of[static_cast<std::size_t>(r)]};
+            if (key != prev_key) {
+                auto [it, fresh] = groups.emplace(key, static_cast<std::uint32_t>(cls.size()));
+                if (fresh) {
+                    SimClass s;
+                    s.prog = &programs[key.first];
+                    s.ctx = key.second;
+                    s.rep = r;
+                    s.size = 0;
+                    cls.push_back(std::move(s));
+                }
+                ci = it->second;
+                prev_key = key;
             }
-            auto& c = cls[it->second];
+            auto& c = cls[ci];
             c.members.push_back(r);
             ++c.size;
-            cls_of[static_cast<std::size_t>(r)] = it->second;
+            cls_of[static_cast<std::size_t>(r)] = ci;
         }
     } else {
         cls.resize(static_cast<std::size_t>(n));
         for (int r = 0; r < n; ++r) {
             auto& c = cls[static_cast<std::size_t>(r)];
-            c.prog = progs[static_cast<std::size_t>(r)];
+            c.prog = &programs[prog_of[static_cast<std::size_t>(r)]];
             c.ctx = ctx_of[static_cast<std::size_t>(r)];
             c.rep = r;
             cls_of[static_cast<std::size_t>(r)] = static_cast<std::uint32_t>(r);
@@ -1657,27 +1696,31 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         }
     }
 
-    // Replicate each class's per-member results to all members, then reduce
-    // across ranks in ascending rank order — the one FP addition order every
-    // schedule (and RefEngine, and collapse on/off) can reproduce. Iterated
-    // over maximal runs of consecutive ranks in one class (SPMD collapse
-    // keeps million-rank worlds in a handful of runs): the per-rank adds
-    // stay — `acc += v` n times is NOT `acc += n * v`, FP addition does not
-    // distribute — but the cls_of chase and bounds checks are hoisted per
-    // run, which is most of what the 10^6-rank rows used to pay here. A
-    // class with per-member clocks writes each member's own values instead,
-    // and its phase sums are added rank by rank.
+    // Give each class's results to its members, then reduce across ranks in
+    // ascending rank order — the one FP addition order every schedule (and
+    // RefEngine, and collapse on/off) can reproduce. Iterated over maximal
+    // runs of consecutive ranks in one class (SPMD collapse keeps
+    // million-rank worlds in a handful of runs): each is one RankTable run,
+    // and the per-rank adds stay — `acc += v` n times is NOT `acc += n * v`,
+    // FP addition does not distribute — fast-forwarded by add_repeat. A
+    // class with per-member clocks appends each member's own stats instead,
+    // and its phase sums are added rank by rank. The table thus takes at most
+    // one entry per run of a class without clocks plus one per member of a
+    // class with them, and is reserved to that count.
     std::vector<std::pair<int, std::uint32_t>> rank_runs;  // (first rank, class)
+    std::size_t max_runs = 0;
     for (int r = 0; r < n;) {
+        const int r0 = r;
         const std::uint32_t ci = cls_of[static_cast<std::size_t>(r)];
         rank_runs.emplace_back(r, ci);
         for (++r; r < n && cls_of[static_cast<std::size_t>(r)] == ci; ++r) {
         }
+        max_runs += cls[ci].clk < 0 ? 1 : static_cast<std::size_t>(r - r0);
     }
     const auto run_end = [&](std::size_t k) {
         return k + 1 < rank_runs.size() ? rank_runs[k + 1].first : n;
     };
-    result.ranks.resize(static_cast<std::size_t>(n));
+    result.ranks.reserve(max_runs);
     // Index of each run's first rank in its class's `members` (read only for
     // classes with per-member clocks).
     std::vector<std::size_t> run_member(rank_runs.size(), 0);
@@ -1686,7 +1729,7 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
         const int end = run_end(k);
         const SimClass& c = cls[ci];
         if (c.clk < 0) {
-            std::fill(result.ranks.begin() + r0, result.ranks.begin() + end, c.stats);
+            result.ranks.append(c.stats, end - r0);
             result.makespan = std::max(result.makespan, c.stats.finish);
         } else {
             const MemberClocks& mc = clocks[static_cast<std::size_t>(c.clk)];
@@ -1695,12 +1738,12 @@ RunResult Engine::run_impl(const std::vector<const Program*>& progs,
                 c.members.begin());
             run_member[k] = i;
             for (int r = r0; r < end; ++r, ++i) {
-                RankStats& st = result.ranks[static_cast<std::size_t>(r)];
-                st = c.stats;
+                RankStats st = c.stats;
                 st.finish = mc.time[i];
                 st.compute = mc.compute[i];
                 st.recv_wait = mc.recv_wait[i];
                 st.collective_wait = mc.coll_wait[i];
+                result.ranks.append(st);
                 result.makespan = std::max(result.makespan, st.finish);
             }
         }

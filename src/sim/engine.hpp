@@ -55,6 +55,8 @@
 #include "sim/program.hpp"
 #include "sim/trace.hpp"
 
+#include <cstddef>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -75,6 +77,84 @@ struct RankStats {
     double injected_bytes = 0;
     int msgs_sent = 0;
     int msgs_received = 0;
+};
+
+/// The per-rank stats of a run, stored as maximal runs of consecutive ranks
+/// whose RankStats are bit-identical (every double by bit pattern, both
+/// ints). `append` merges into the last run whenever it can, so the table is
+/// canonical: two results with equal per-rank stats hold equal runs, whatever
+/// engine, collapse setting or class structure produced them. A collapsed
+/// SPMD run of 10^6 ranks is one run of 52 bytes: its stats and its first
+/// rank (DESIGN.md §11). Under OS noise every rank is its own run.
+class RankTable {
+public:
+    /// Ranks [first, first + length) all have `stats`.
+    struct Run {
+        int first = 0;
+        int length = 0;
+        RankStats stats;
+    };
+
+    /// Yields every rank's stats in rank order.
+    class const_iterator {
+    public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = RankStats;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const RankStats*;
+        using reference = const RankStats&;
+
+        const_iterator() = default;
+        reference operator*() const { return t_->stats_[k_]; }
+        const_iterator& operator++() {
+            if (++r_ == t_->run_end(k_)) ++k_;
+            return *this;
+        }
+        const_iterator operator++(int) {
+            auto t = *this;
+            ++*this;
+            return t;
+        }
+        bool operator==(const const_iterator& o) const { return r_ == o.r_; }
+
+    private:
+        friend class RankTable;
+        const_iterator(const RankTable* t, std::size_t k, int r) : t_(t), k_(k), r_(r) {}
+        const RankTable* t_ = nullptr;
+        std::size_t k_ = 0;  ///< run holding rank r_
+        int r_ = 0;
+    };
+
+    /// Reserve room for `runs` runs: the upper bound a producer knows before
+    /// it appends, so the arrays never grow by doubling.
+    void reserve(std::size_t runs) {
+        stats_.reserve(runs);
+        start_.reserve(runs);
+    }
+    /// Append `count` (>= 1) ranks with stats `s`, merging into the last run
+    /// when `s` is bitwise equal to its stats.
+    void append(const RankStats& s, int count = 1);
+
+    [[nodiscard]] std::size_t size() const { return static_cast<std::size_t>(n_); }
+    [[nodiscard]] bool empty() const { return n_ == 0; }
+    /// Rank r's stats, found by binary search over the run starts.
+    [[nodiscard]] const RankStats& operator[](std::size_t r) const;
+    [[nodiscard]] const_iterator begin() const { return {this, 0, 0}; }
+    [[nodiscard]] const_iterator end() const { return {this, stats_.size(), n_}; }
+
+    [[nodiscard]] std::size_t runs() const { return stats_.size(); }
+    [[nodiscard]] Run run(std::size_t k) const {
+        return Run{start_[k], run_end(k) - start_[k], stats_[k]};
+    }
+
+private:
+    [[nodiscard]] int run_end(std::size_t k) const {
+        return k + 1 < start_.size() ? start_[k + 1] : n_;
+    }
+
+    std::vector<RankStats> stats_;  ///< one per run
+    std::vector<int> start_;        ///< each run's first rank
+    int n_ = 0;                     ///< ranks
 };
 
 /// Per-run execution options (the schedule-perturbation hook of the
@@ -104,7 +184,9 @@ struct RunOptions {
 struct RunResult {
     double makespan = 0;      ///< max rank finish time
     double total_flops = 0;   ///< counted FLOPs over all ranks
-    std::vector<RankStats> ranks;
+    /// Per-rank stats as runs of bit-identical neighbours: O(classes) for a
+    /// collapsed run at os_noise = 0, one entry per rank under noise.
+    RankTable ranks;
     /// Compute seconds per MarkOp label, summed over ranks (divide by ranks
     /// for the SPMD per-rank view).
     std::map<std::string, double> phase_compute;
@@ -169,7 +251,10 @@ public:
     [[nodiscard]] const net::Network& network() const { return network_; }
 
 private:
-    [[nodiscard]] RunResult run_impl(const std::vector<const Program*>& progs,
+    /// Rank r runs `programs[prog_of[r]]`: a bundle's distinct programs and
+    /// index, or a per-rank vector with the identity index.
+    [[nodiscard]] RunResult run_impl(const std::vector<Program>& programs,
+                                     const std::vector<std::uint32_t>& prog_of,
                                      Trace* trace, const RunOptions& opts) const;
 
     const arch::SystemSpec* sys_;

@@ -4,106 +4,114 @@
 #include "util/str.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <utility>
+#include <cstddef>
 
 namespace armstice::sim {
 
-Placement Placement::build(const arch::NodeSpec& node, int nodes, int ranks,
-                           int threads_per_rank,
-                           const std::function<std::pair<int, int>(int)>& assign) {
+Placement::Placement(const arch::NodeSpec& node, int nodes, int ranks,
+                     int threads_per_rank, bool round_robin)
+    : node_(&node),
+      nodes_(nodes),
+      ranks_(ranks),
+      threads_(threads_per_rank),
+      round_robin_(round_robin) {
     ARMSTICE_CHECK(nodes >= 1, "placement needs >=1 node");
     ARMSTICE_CHECK(ranks >= 1, "placement needs >=1 rank");
     ARMSTICE_CHECK(threads_per_rank >= 1, "placement needs >=1 thread per rank");
     node.validate();
 
-    Placement p;
-    p.node_ = &node;
-    p.nodes_ = nodes;
-    p.threads_ = threads_per_rank;
-    p.locs_.resize(static_cast<std::size_t>(ranks));
-    p.streams_.assign(static_cast<std::size_t>(nodes),
-                      std::vector<int>(static_cast<std::size_t>(node.mem_domains()), 0));
-    p.occupancy_.assign(static_cast<std::size_t>(nodes), 0);
-
-    const int cores_per_node = node.cores();
-    const int cpd = node.cores_per_domain();
-    // Core occupancy per node: reject overlapping or out-of-range pinnings.
-    std::vector<std::vector<char>> used(
-        static_cast<std::size_t>(nodes),
-        std::vector<char>(static_cast<std::size_t>(cores_per_node), 0));
-    for (int r = 0; r < ranks; ++r) {
-        const auto [n, first_core] = assign(r);
-        ARMSTICE_CHECK(n >= 0 && n < nodes, "placement node out of range");
-        ARMSTICE_CHECK(first_core >= 0 &&
-                           first_core + threads_per_rank <= cores_per_node,
-                       util::format("placement oversubscribes cores: rank %d at core"
-                                    " %d x %d threads on %d-core nodes",
-                                    r, first_core, threads_per_rank, cores_per_node));
-        RankLoc loc;
-        loc.node = n;
-        loc.first_core = first_core;
-        loc.first_domain = loc.first_core / cpd;
-        const int last_domain = (loc.first_core + threads_per_rank - 1) / cpd;
-        loc.domains_spanned = last_domain - loc.first_domain + 1;
-        p.locs_[static_cast<std::size_t>(r)] = loc;
-        p.occupancy_[static_cast<std::size_t>(n)] += 1;
-        for (int t = 0; t < threads_per_rank; ++t) {
-            const int core = loc.first_core + t;
-            auto& cell = used[static_cast<std::size_t>(n)][static_cast<std::size_t>(core)];
-            ARMSTICE_CHECK(!cell, util::format("placement pins two ranks to node %d"
-                                               " core %d", n, core));
-            cell = 1;
-            p.streams_[static_cast<std::size_t>(loc.node)]
-                      [static_cast<std::size_t>(core / cpd)] += 1;
+    // Block fills ceil(ranks / nodes) ranks per node in node order; round
+    // robin deals rank r to node r % nodes. Either way node 0 holds the most
+    // ranks and every node fills slots 0 .. occupancy - 1.
+    occupancy_.resize(static_cast<std::size_t>(nodes));
+    if (round_robin) {
+        for (int k = 0; k < nodes; ++k) {
+            occupancy_[static_cast<std::size_t>(k)] =
+                ranks / nodes + (k < ranks % nodes ? 1 : 0);
+        }
+    } else {
+        const long long per_node = (static_cast<long long>(ranks) + nodes - 1) / nodes;
+        per_node_ = static_cast<int>(per_node);
+        for (int k = 0; k < nodes; ++k) {
+            occupancy_[static_cast<std::size_t>(k)] = static_cast<int>(
+                std::clamp(ranks - k * per_node, 0LL, per_node));
         }
     }
-    return p;
+
+    // The slot table, checked on node 0 in slot order. Slot i has the same
+    // cores on every node and no node holds more slots than node 0, so the
+    // first failing slot here holds the lowest rank that fails anywhere.
+    // Each slot takes at least one free core, so at most `cores` slots pass
+    // and the table never outgrows a node. Row i of `upto_` counts the
+    // streams slots 0 .. i-1 put on each domain, so row occupancy_[k] is
+    // node k's.
+    const int cores = node.cores();
+    const int cpd = node.cores_per_domain();
+    const int domains = node.mem_domains();
+    const auto dom = static_cast<std::size_t>(domains);
+    std::vector<char> used(static_cast<std::size_t>(cores), 0);  // node 0's cores
+    upto_.assign(dom, 0);
+    for (int i = 0; i < occupancy_[0]; ++i) {
+        const int first_core = round_robin
+                                   ? (i % domains) * cpd + (i / domains) * threads_per_rank
+                                   : i * threads_per_rank;
+        const int rank = round_robin ? i * nodes : i;  // node 0's i-th rank
+        ARMSTICE_CHECK(first_core + threads_per_rank <= cores,
+                       util::format("placement oversubscribes cores: rank %d at core"
+                                    " %d x %d threads on %d-core nodes",
+                                    rank, first_core, threads_per_rank, cores));
+        const std::size_t row = upto_.size();
+        upto_.resize(row + dom);
+        for (std::size_t d = 0; d < dom; ++d) upto_[row + d] = upto_[row - dom + d];
+        for (int core = first_core; core < first_core + threads_per_rank; ++core) {
+            auto& cell = used[static_cast<std::size_t>(core)];
+            ARMSTICE_CHECK(!cell, util::format("placement pins two ranks to node %d"
+                                               " core %d", 0, core));
+            cell = 1;
+            upto_[row + static_cast<std::size_t>(core / cpd)] += 1;
+        }
+        Slot slot;
+        slot.first_core = first_core;
+        slot.first_domain = first_core / cpd;
+        slot.domains_spanned =
+            (first_core + threads_per_rank - 1) / cpd - slot.first_domain + 1;
+        slots_.push_back(slot);
+    }
 }
 
 Placement Placement::block(const arch::NodeSpec& node, int nodes, int ranks,
                            int threads_per_rank) {
-    ARMSTICE_CHECK(nodes >= 1, "placement needs >=1 node");
-    const int ranks_per_node = (ranks + nodes - 1) / nodes;
-    return build(node, nodes, ranks, threads_per_rank, [&](int r) {
-        return std::pair<int, int>{r / ranks_per_node,
-                                   (r % ranks_per_node) * threads_per_rank};
-    });
+    return Placement(node, nodes, ranks, threads_per_rank, /*round_robin=*/false);
 }
 
 Placement Placement::round_robin(const arch::NodeSpec& node, int nodes, int ranks,
                                  int threads_per_rank) {
-    ARMSTICE_CHECK(nodes >= 1, "placement needs >=1 node");
-    const int domains = node.mem_domains();
-    const int cpd = node.cores_per_domain();
-    return build(node, nodes, ranks, threads_per_rank, [&](int r) {
-        const int i = r / nodes;  // i-th rank on its node
-        const int first_core = (i % domains) * cpd + (i / domains) * threads_per_rank;
-        return std::pair<int, int>{r % nodes, first_core};
-    });
+    return Placement(node, nodes, ranks, threads_per_rank, /*round_robin=*/true);
 }
 
-const RankLoc& Placement::loc(int rank) const {
-    ARMSTICE_CHECK(rank >= 0 && rank < ranks(), "rank out of range");
-    return locs_[static_cast<std::size_t>(rank)];
+RankLoc Placement::loc(int rank) const {
+    ARMSTICE_CHECK(rank >= 0 && rank < ranks_, "rank out of range");
+    const int node = round_robin_ ? rank % nodes_ : rank / per_node_;
+    const int slot = round_robin_ ? rank / nodes_ : rank % per_node_;
+    const Slot& s = slots_[static_cast<std::size_t>(slot)];
+    return RankLoc{node, s.first_core, s.first_domain, s.domains_spanned};
 }
 
 int Placement::ranks_on_node(int node) const {
     ARMSTICE_CHECK(node >= 0 && node < nodes_, "node out of range");
-    // Precomputed in build(): comm_layout() and check_capacity() ask for
-    // every node, and a per-call O(ranks) scan made them O(ranks x nodes) —
-    // minutes of setup for the million-rank collapsed runs.
     return occupancy_[static_cast<std::size_t>(node)];
 }
 
 int Placement::streams_on_domain(int node, int domain) const {
     ARMSTICE_CHECK(node >= 0 && node < nodes_, "node out of range");
     ARMSTICE_CHECK(domain >= 0 && domain < node_->mem_domains(), "domain out of range");
-    return streams_[static_cast<std::size_t>(node)][static_cast<std::size_t>(domain)];
+    return upto_[static_cast<std::size_t>(occupancy_[static_cast<std::size_t>(node)]) *
+                     static_cast<std::size_t>(node_->mem_domains()) +
+                 static_cast<std::size_t>(domain)];
 }
 
 arch::ExecContext Placement::exec_context(int rank, double vec_quality) const {
-    const RankLoc& l = loc(rank);
+    const RankLoc l = loc(rank);
     arch::ExecContext ctx;
     ctx.cpu = &node_->cpu;
     ctx.vec_quality = vec_quality;

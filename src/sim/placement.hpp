@@ -3,13 +3,18 @@
 // nodes, memory domains and cores. Reproduces the paper's §III.a pinning
 // methodology: processes and threads are pinned; a rank's threads occupy
 // consecutive cores starting at its base core.
+//
+// Both layouts fill every node from slot 0 up, and slot i sits on the same
+// cores on every node, so a Placement stores one slot table for a node (at
+// most `cores` entries), the streams each prefix of slots puts on each domain
+// and each node's occupancy — never one entry per rank. loc(r) computes the
+// rank's node and slot, and a node's streams are the row of its occupancy
+// (DESIGN.md §4.4).
 
 #include "arch/cost_model.hpp"
 #include "arch/processor.hpp"
 #include "net/collectives.hpp"
 
-#include <functional>
-#include <utility>
 #include <vector>
 
 namespace armstice::sim {
@@ -35,11 +40,12 @@ public:
     static Placement round_robin(const arch::NodeSpec& node, int nodes, int ranks,
                                  int threads_per_rank);
 
-    [[nodiscard]] int ranks() const { return static_cast<int>(locs_.size()); }
+    [[nodiscard]] int ranks() const { return ranks_; }
     [[nodiscard]] int threads() const { return threads_; }
     [[nodiscard]] int nodes() const { return nodes_; }
     [[nodiscard]] const arch::NodeSpec& node_spec() const { return *node_; }
-    [[nodiscard]] const RankLoc& loc(int rank) const;
+    /// Where rank `rank` runs, computed from its node and slot.
+    [[nodiscard]] RankLoc loc(int rank) const;
 
     /// Ranks resident on a node.
     [[nodiscard]] int ranks_on_node(int node) const;
@@ -62,17 +68,25 @@ public:
     void check_capacity(double bytes_per_rank) const;
 
 private:
-    Placement() = default;
-    /// Shared construction given a rank -> (node, slot-on-node) assignment.
-    static Placement build(const arch::NodeSpec& node, int nodes, int ranks,
-                           int threads_per_rank,
-                           const std::function<std::pair<int, int>(int)>& assign);
+    /// A slot's cores on every node: slot i holds the i-th rank of a node.
+    struct Slot {
+        int first_core = 0;
+        int first_domain = 0;
+        int domains_spanned = 1;
+    };
+    Placement(const arch::NodeSpec& node, int nodes, int ranks, int threads_per_rank,
+              bool round_robin);
+
     const arch::NodeSpec* node_ = nullptr;
     int nodes_ = 0;
+    int ranks_ = 0;
     int threads_ = 1;
-    std::vector<RankLoc> locs_;
-    std::vector<std::vector<int>> streams_;  ///< [node][domain] -> stream count
-    std::vector<int> occupancy_;  ///< [node] -> resident ranks (built once)
+    bool round_robin_ = false;
+    int per_node_ = 1;            ///< block: ranks on each full node
+    std::vector<Slot> slots_;     ///< [slot], as many as node 0 holds
+    std::vector<int> occupancy_;  ///< [node] -> resident ranks
+    /// [i * domains + domain] -> streams slots 0 .. i-1 put on the domain
+    std::vector<int> upto_;
 };
 
 } // namespace armstice::sim

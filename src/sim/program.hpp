@@ -219,6 +219,9 @@ public:
     [[nodiscard]] const Program& of(int rank) const {
         return distinct_[index_[static_cast<std::size_t>(rank)]];
     }
+    /// The distinct programs, and the rank -> distinct-program index.
+    [[nodiscard]] const std::vector<Program>& programs() const { return distinct_; }
+    [[nodiscard]] const std::vector<std::uint32_t>& index() const { return index_; }
 
 private:
     std::vector<Program> distinct_;

@@ -90,7 +90,7 @@ RunResult RefEngine::run(const std::vector<Program>& programs) const {
     std::vector<std::uint64_t> sends_issued(static_cast<std::size_t>(n), 0);
     std::vector<RefColl> colls;
     RunResult result;
-    result.ranks.assign(static_cast<std::size_t>(n), RankStats{});
+    std::vector<RankStats> rank_stats(static_cast<std::size_t>(n));
     std::vector<char> phase_seen;
 
     // DESIGN.md §5 matching contract, stated directly: the candidate from one
@@ -130,7 +130,7 @@ RunResult RefEngine::run(const std::vector<Program>& programs) const {
         for (int r = 0; r < n; ++r) {
             auto& s = st[static_cast<std::size_t>(r)];
             if (s.finished) continue;
-            auto& stats = result.ranks[static_cast<std::size_t>(r)];
+            auto& stats = rank_stats[static_cast<std::size_t>(r)];
             const Program& prog = programs[static_cast<std::size_t>(r)];
 
             bool advancing = true;
@@ -310,8 +310,10 @@ RunResult RefEngine::run(const std::vector<Program>& programs) const {
         throw DeadlockError(build_wait_graph(pending, descs));
     }
 
-    for (const auto& stats : result.ranks) {
+    result.ranks.reserve(rank_stats.size());
+    for (const auto& stats : rank_stats) {
         result.makespan = std::max(result.makespan, stats.finish);
+        result.ranks.append(stats);
     }
     for (int r = 0; r < n; ++r) {
         result.total_flops += st[static_cast<std::size_t>(r)].flops;

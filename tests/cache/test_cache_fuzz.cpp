@@ -64,6 +64,51 @@ bool bit_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+bool same_stats(const armstice::sim::RankStats& a, const armstice::sim::RankStats& b) {
+    return bit_equal(a.finish, b.finish) && bit_equal(a.compute, b.compute) &&
+           bit_equal(a.recv_wait, b.recv_wait) &&
+           bit_equal(a.collective_wait, b.collective_wait) &&
+           bit_equal(a.injected_bytes, b.injected_bytes) &&
+           a.msgs_sent == b.msgs_sent && a.msgs_received == b.msgs_received;
+}
+
+/// The RunResult layout written rank by rank from a plain per-rank array:
+/// the reference the run-expanding encoder must match byte for byte.
+std::string encode_per_rank(const armstice::sim::RunResult& r,
+                            const std::vector<armstice::sim::RankStats>& ranks) {
+    au::ByteWriter w;
+    w.f64(r.makespan);
+    w.f64(r.total_flops);
+    w.u32(static_cast<std::uint32_t>(ranks.size()));
+    for (const auto& rs : ranks) {
+        w.f64(rs.finish);
+        w.f64(rs.compute);
+        w.f64(rs.recv_wait);
+        w.f64(rs.collective_wait);
+        w.f64(rs.injected_bytes);
+        w.i32(rs.msgs_sent);
+        w.i32(rs.msgs_received);
+    }
+    w.u32(static_cast<std::uint32_t>(r.phase_compute.size()));
+    for (const auto& [label, seconds] : r.phase_compute) {
+        w.str(label);
+        w.f64(seconds);
+    }
+    return w.data();
+}
+
+armstice::sim::RankStats random_rank_stats(au::Rng& rng) {
+    armstice::sim::RankStats rs;
+    rs.finish = random_double(rng);
+    rs.compute = random_double(rng);
+    rs.recv_wait = random_double(rng);
+    rs.collective_wait = random_double(rng);
+    rs.injected_bytes = random_double(rng);
+    rs.msgs_sent = static_cast<int>(rng.next_below(1 << 16));
+    rs.msgs_received = static_cast<int>(rng.next_below(1 << 16));
+    return rs;
+}
+
 armstice::apps::AppResult random_app_result(au::Rng& rng) {
     armstice::apps::AppResult v;
     v.feasible = rng.next_below(2) == 1;
@@ -72,17 +117,13 @@ armstice::apps::AppResult random_app_result(au::Rng& rng) {
     v.gflops = random_double(rng);
     v.run.makespan = random_double(rng);
     v.run.total_flops = random_double(rng);
-    const std::size_t nranks = rng.next_below(20);
-    for (std::size_t i = 0; i < nranks; ++i) {
-        armstice::sim::RankStats rs;
-        rs.finish = random_double(rng);
-        rs.compute = random_double(rng);
-        rs.recv_wait = random_double(rng);
-        rs.collective_wait = random_double(rng);
-        rs.injected_bytes = random_double(rng);
-        rs.msgs_sent = static_cast<int>(rng.next_below(1 << 16));
-        rs.msgs_received = static_cast<int>(rng.next_below(1 << 16));
-        v.run.ranks.push_back(rs);
+    // Appends of 1-4 ranks, a third of them repeating the stats before, so
+    // the table holds runs longer than one rank, built both ways.
+    const std::size_t appends = rng.next_below(12);
+    armstice::sim::RankStats rs = random_rank_stats(rng);
+    for (std::size_t i = 0; i < appends; ++i) {
+        if (rng.next_below(3) != 0) rs = random_rank_stats(rng);
+        v.run.ranks.append(rs, 1 + static_cast<int>(rng.next_below(4)));
     }
     const std::size_t nphases = rng.next_below(6);
     for (std::size_t i = 0; i < nphases; ++i) {
@@ -101,12 +142,14 @@ void expect_app_results_equal(const armstice::apps::AppResult& a,
     EXPECT_TRUE(bit_equal(a.run.makespan, b.run.makespan));
     EXPECT_TRUE(bit_equal(a.run.total_flops, b.run.total_flops));
     ASSERT_EQ(a.run.ranks.size(), b.run.ranks.size());
-    for (std::size_t i = 0; i < a.run.ranks.size(); ++i) {
-        EXPECT_TRUE(bit_equal(a.run.ranks[i].finish, b.run.ranks[i].finish));
-        EXPECT_TRUE(bit_equal(a.run.ranks[i].injected_bytes,
-                              b.run.ranks[i].injected_bytes));
-        EXPECT_EQ(a.run.ranks[i].msgs_sent, b.run.ranks[i].msgs_sent);
-        EXPECT_EQ(a.run.ranks[i].msgs_received, b.run.ranks[i].msgs_received);
+    // Tables are canonical, so a decoded table holds the encoded runs.
+    ASSERT_EQ(a.run.ranks.runs(), b.run.ranks.runs());
+    for (std::size_t k = 0; k < a.run.ranks.runs(); ++k) {
+        const auto x = a.run.ranks.run(k);
+        const auto y = b.run.ranks.run(k);
+        EXPECT_EQ(x.first, y.first);
+        EXPECT_EQ(x.length, y.length);
+        EXPECT_TRUE(same_stats(x.stats, y.stats)) << "run " << k;
     }
     EXPECT_EQ(a.run.phase_compute.size(), b.run.phase_compute.size());
     for (const auto& [label, seconds] : a.run.phase_compute) {
@@ -161,6 +204,49 @@ TEST_F(CacheFuzz, AppResultCodecRoundTrips) {
         ASSERT_TRUE(r.ok() && r.at_end()) << "iter " << iter;
         expect_app_results_equal(v, q);
     }
+}
+
+TEST_F(CacheFuzz, RunTableEncodesLikePerRankArray) {
+    au::Rng rng(0x5eed7ab1e);
+    for (int iter = 0; iter < 200; ++iter) {
+        const auto v = random_app_result(rng);
+        const std::vector<armstice::sim::RankStats> per_rank(v.run.ranks.begin(),
+                                                             v.run.ranks.end());
+        au::ByteWriter w;
+        ac::codec_detail::encode_run_result(w, v.run);
+        ASSERT_EQ(w.data(), encode_per_rank(v.run, per_rank)) << "iter " << iter;
+    }
+}
+
+TEST_F(CacheFuzz, DecodeMergesEqualNeighbours) {
+    // Ranks 0-2 equal, 3 differs, 4-5 equal to rank 3 bar -0.0 vs 0.0, 6
+    // repeats rank 5.
+    armstice::sim::RunResult r;
+    armstice::sim::RankStats a;
+    a.finish = 1.5;
+    a.msgs_sent = 2;
+    armstice::sim::RankStats b = a;
+    b.compute = -0.0;
+    armstice::sim::RankStats c = a;
+    c.compute = 0.0;
+    const std::vector<armstice::sim::RankStats> per_rank = {a, a, a, b, c, c, c};
+    const std::string blob = encode_per_rank(r, per_rank);
+    au::ByteReader rd(blob);
+    const auto q = ac::codec_detail::decode_run_result(rd);
+    ASSERT_TRUE(rd.ok() && rd.at_end());
+    ASSERT_EQ(q.ranks.size(), 7u);
+    ASSERT_EQ(q.ranks.runs(), 3u);
+    const int first[] = {0, 3, 4};
+    const int length[] = {3, 1, 3};
+    for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(q.ranks.run(k).first, first[k]) << "run " << k;
+        EXPECT_EQ(q.ranks.run(k).length, length[k]) << "run " << k;
+        EXPECT_TRUE(same_stats(q.ranks.run(k).stats, per_rank[static_cast<std::size_t>(first[k])]))
+            << "run " << k;
+    }
+    au::ByteWriter w;
+    ac::codec_detail::encode_run_result(w, q);
+    EXPECT_EQ(w.data(), blob);
 }
 
 TEST_F(CacheFuzz, StoreRoundTripsArbitraryPayloadsThroughDisk) {

@@ -23,11 +23,7 @@ as::Engine make_engine(int ranks, int nodes = 1) {
 }
 
 aa::ComputePhase work(double flops) {
-    aa::ComputePhase p;
-    p.label = "w";
-    p.flops = flops;
-    p.vector_fraction = 0.0;
-    return p;
+    return {.label = "w", .flops = flops, .vector_fraction = 0.0};
 }
 
 } // namespace
