@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     auto placement = sim::Placement::block(sys.node, 1, ranks, 1);
     const sim::Engine engine(sys, std::move(placement), 0.62);
     sim::Trace trace;
-    const auto result = engine.run(ps.take(), &trace);
+    const auto result = engine.run(ps.take(), {}, &trace);
 
     trace.write_chrome_json(path);
     std::printf("simulated %d ranks for %.3f s; wrote %zu spans to %s\n", ranks,

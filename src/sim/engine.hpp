@@ -228,35 +228,24 @@ public:
            arch::ModelKnobs knobs = {});
 
     /// Execute one program per rank (programs.size() must equal
-    /// placement.ranks()). Deterministic; reusable. When `trace` is non-null
-    /// every per-rank span (compute, sends, waits, collectives) is recorded
-    /// for timeline export (sim/trace.hpp).
+    /// placement.ranks()). Deterministic; reusable. `opts` sets schedule
+    /// perturbation and collapse. When `trace` is non-null every per-rank
+    /// span (compute, sends, waits, collectives) is recorded for timeline
+    /// export (sim/trace.hpp).
     [[nodiscard]] RunResult run(const std::vector<Program>& programs,
+                                const RunOptions& opts = {},
                                 Trace* trace = nullptr) const;
 
     /// Shared-program variant: ranks mapping to the same distinct program
     /// execute one instance (simmpi::ProgramSet::take_bundle()). Results are
     /// bit-identical to the per-rank-vector overload.
-    [[nodiscard]] RunResult run(const ProgramBundle& bundle,
-                                Trace* trace = nullptr) const;
-
-    /// Overloads with execution options (schedule perturbation).
-    [[nodiscard]] RunResult run(const std::vector<Program>& programs,
-                                const RunOptions& opts,
-                                Trace* trace = nullptr) const;
-    [[nodiscard]] RunResult run(const ProgramBundle& bundle, const RunOptions& opts,
+    [[nodiscard]] RunResult run(const ProgramBundle& bundle, const RunOptions& opts = {},
                                 Trace* trace = nullptr) const;
 
     [[nodiscard]] const Placement& placement() const { return placement_; }
     [[nodiscard]] const net::Network& network() const { return network_; }
 
 private:
-    /// Rank r runs `programs[prog_of[r]]`: a bundle's distinct programs and
-    /// index, or a per-rank vector with the identity index.
-    [[nodiscard]] RunResult run_impl(const std::vector<Program>& programs,
-                                     const std::vector<std::uint32_t>& prog_of,
-                                     Trace* trace, const RunOptions& opts) const;
-
     const arch::SystemSpec* sys_;
     Placement placement_;
     double vec_quality_;

@@ -86,7 +86,7 @@ TEST(Perturb, PerturbationActuallyChangesTheSchedule) {
     const auto eng = make_engine(gc.ranks);
 
     as::Trace canonical;
-    const auto base = eng.run(gc.programs, &canonical);
+    const auto base = eng.run(gc.programs, {}, &canonical);
     bool any_interleaving_differs = false;
     for (int k = 1; k <= 8 && !any_interleaving_differs; ++k) {
         as::RunOptions opts;
@@ -113,7 +113,7 @@ TEST(Perturb, ZeroSeedIsCanonical) {
     const auto eng = make_engine(gc.ranks);
     as::Trace a;
     as::Trace b;
-    (void)eng.run(gc.programs, &a);
+    (void)eng.run(gc.programs, {}, &a);
     (void)eng.run(gc.programs, as::RunOptions{}, &b);
     ASSERT_EQ(a.spans().size(), b.spans().size());
     for (std::size_t i = 0; i < a.spans().size(); ++i) {

@@ -281,7 +281,7 @@ TEST(Collapse, TraceForcesSingletonsAndMatchesCollapsedResult) {
     const auto bundle = ps.take_bundle();
 
     as::Trace trace;
-    const auto traced = eng.run(bundle, &trace);
+    const auto traced = eng.run(bundle, {}, &trace);
     EXPECT_EQ(traced.collapse_classes, ranks);  // trace disables collapse
     EXPECT_FALSE(trace.spans().empty());
     EXPECT_BITEQ(eng.run(bundle), traced, "collapsed vs traced");

@@ -118,7 +118,7 @@ TEST(Trace, RecordsComputeAndCollectiveSpans) {
         progs[static_cast<std::size_t>(r)].compute(p).allreduce(8);
     }
     as::Trace trace;
-    const auto res = engine.run(progs, &trace);
+    const auto res = engine.run(progs, {}, &trace);
     EXPECT_EQ(trace.size(), 8u);  // 4 compute + 4 collective spans
     // Compute span totals match the engine's accounting.
     double compute = 0;
@@ -147,7 +147,7 @@ TEST(Trace, RecordsRecvWaitAndSend) {
     progs[0].compute(p).send(1, 1e6);
     progs[1].recv(0);
     as::Trace trace;
-    (void)engine.run(progs, &trace);
+    (void)engine.run(progs, {}, &trace);
     EXPECT_GT(trace.total_seconds(as::SpanKind::recv_wait), 0.9);
     EXPECT_GT(trace.total_seconds(as::SpanKind::send), 0.0);
 }

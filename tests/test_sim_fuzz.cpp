@@ -41,7 +41,7 @@ TEST_P(EngineFuzz, TraceCoversAllComputeTime) {
     auto placement = as::Placement::block(aa::ngio().node, 1, gc.ranks, 1);
     const as::Engine engine(aa::ngio(), std::move(placement), 0.8);
     as::Trace trace;
-    const auto res = engine.run(gc.programs, &trace);
+    const auto res = engine.run(gc.programs, {}, &trace);
     double total_compute = 0;
     for (const auto& r : res.ranks) total_compute += r.compute;
     EXPECT_NEAR(trace.total_seconds(as::SpanKind::compute), total_compute,
