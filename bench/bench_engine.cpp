@@ -9,10 +9,12 @@
 //
 // Every scenario is measured once. Programs go through ProgramBundle, the
 // form every app in this repo hands the engine (bit-identical to the raw
-// vector path). The collapse rows prove their own bit-identity: each halo
-// row is measured with collapse on and off and the two RunResults must
-// match, and the 100k-rank SPMD row is diffed against a collapse-off run —
-// the bench aborts rather than write numbers from a diverging engine.
+// vector path). Every row but the million-rank one proves its own
+// bit-identity: each default-knob row is re-run once, untimed, with
+// collapse off, each halo row is measured with collapse on and off, and the
+// 100k-rank SPMD row is diffed against a collapse-off run; the two
+// RunResults must match, and the bench exits 1 rather than write numbers
+// from a diverging engine.
 //
 // The JSON carries two measurement sets: "baseline" (numbers recorded on the
 // pre-optimization engine when this bench was introduced, kept as literals
@@ -35,6 +37,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -246,6 +249,17 @@ void finish_rss(Scenario* s, bool reset_ok) {
     s->peak_rss_kb = s->rss_per_scenario ? hwm : process_peak_rss_kb();
 }
 
+/// Exit 1 unless a collapsed run and its collapse-off run are bit-identical:
+/// numbers from an engine whose collapse diverges would be meaningless.
+void require_bit_identical(const as::RunResult& collapsed, const as::RunResult& flat,
+                           const std::string& what) {
+    const std::string diff = as::check::diff_results(collapsed, flat);
+    if (diff.empty()) return;
+    std::fprintf(stderr, "bench_engine: collapse differential FAILED for %s: %s\n",
+                 what.c_str(), diff.c_str());
+    std::exit(1);
+}
+
 Scenario measure(const std::string& app, int ranks,
                  const as::ProgramBundle& progs) {
     const int nodes = (ranks + 63) / 64;  // Fulhame: 64 cores/node
@@ -263,29 +277,37 @@ Scenario measure(const std::string& app, int ranks,
     const bool rss_reset = reset_vm_hwm();
     constexpr int kReps = 7;
     double best = 1e300;
-    double makespan = 0;
+    as::RunResult res;
     for (int rep = 0; rep < kReps; ++rep) {
         const double t0 = cpu_now();
-        const auto res = engine.run(progs);
+        auto run = engine.run(progs);
         const double t1 = cpu_now();
         best = std::min(best, t1 - t0);
-        makespan = res.makespan;
-        s.collapse_classes = res.collapse_classes;
-        s.collapse_splits = res.collapse_splits;
-        s.split_p2p = res.collapse_split_p2p;
-        s.split_noise = res.collapse_split_noise;
-        s.split_placement = res.collapse_split_placement;
-        s.peak_msg_records = res.peak_msg_records;
+        res = std::move(run);
     }
     s.seconds = best;
     s.ops_per_sec = static_cast<double>(s.ops) / best;
+    s.collapse_classes = res.collapse_classes;
+    s.collapse_splits = res.collapse_splits;
+    s.split_p2p = res.collapse_split_p2p;
+    s.split_noise = res.collapse_split_noise;
+    s.split_placement = res.collapse_split_placement;
+    s.peak_msg_records = res.peak_msg_records;
     finish_rss(&s, rss_reset);
+
+    // These rows run merged on per-member clocks (DESIGN.md §11.5): one
+    // untimed collapse-off run, after the RSS read, must give the same bits.
+    as::RunOptions flat;
+    flat.collapse = false;
+    require_bit_identical(res, engine.run(progs, flat),
+                          format("%s at %d ranks", app.c_str(), ranks));
+    s.bit_identical = true;
     std::printf("  %-5s %5d ranks  %9ld ops  %8.4f s  %10.0f ops/s"
                 "  rss %ld MiB%s  classes %d  msg records %d  (makespan %.3f s)\n",
                 app.c_str(), ranks, s.ops, s.seconds,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
-                s.peak_msg_records, makespan);
+                s.peak_msg_records, res.makespan);
     return s;
 }
 
@@ -345,15 +367,8 @@ Scenario measure_scale(const std::string& app, int ranks,
     if (check_flat) {
         as::RunOptions flat = opts;
         flat.collapse = false;
-        const auto ref = engine.run(bundle, flat);
-        const std::string diff = as::check::diff_results(res, ref);
-        if (!diff.empty()) {
-            std::fprintf(stderr,
-                         "bench_engine: collapse differential FAILED at %d "
-                         "ranks: %s\n",
-                         ranks, diff.c_str());
-            std::exit(1);
-        }
+        require_bit_identical(res, engine.run(bundle, flat),
+                              format("%s at %d ranks", app.c_str(), ranks));
         s.bit_identical = true;
     }
 
@@ -469,14 +484,7 @@ int main(int argc, char** argv) {
         Scenario on = measure_scale(app, 1024, bundle, /*check_flat=*/false, &merged);
         Scenario off = measure_scale(app, 1024, bundle, /*check_flat=*/false, &flat,
                                      /*collapse=*/false);
-        const std::string diff = as::check::diff_results(merged, flat);
-        if (!diff.empty()) {
-            std::fprintf(stderr,
-                         "bench_engine: collapse differential FAILED for %s: "
-                         "%s\n",
-                         app.c_str(), diff.c_str());
-            std::exit(1);
-        }
+        require_bit_identical(merged, flat, app);
         on.bit_identical = off.bit_identical = true;
         scenarios.push_back(on);
         scenarios.push_back(off);

@@ -223,7 +223,7 @@ public:
         for (const Probed& p : probed_) {
             const Record& r = records_[p.rec];
             if (r.each != kNone) return false;
-            const double d = r.arrival > time ? r.arrival : time;
+            const double d = std::max(time, r.arrival);
             if (!first && std::bit_cast<std::uint64_t>(d) !=
                               std::bit_cast<std::uint64_t>(done)) {
                 return false;
@@ -568,12 +568,16 @@ constexpr std::uint64_t kNoMatch = ~std::uint64_t{0};
 /// A receive completing at `arrival`: the clock waits for the message and
 /// the wait is charged. The one receive-wait update of a singleton, a merged
 /// class with one clock and each member of a class with per-member clocks,
-/// so all three produce the same bits.
+/// so all three produce the same bits. Branch-free (DESIGN.md §11.5): under
+/// OS noise, whether a member's message is early is a coin flip, and
+/// selecting the clock (not the wait) compiles to maxsd/subsd/addsd. An
+/// early message adds t - time == +0 to a wait that starts at +0 and only
+/// grows, which leaves its bits unchanged, so this equals RefEngine's
+/// `if (arrival > time)` update bit for bit.
 void await_arrival(double& time, double& wait, double arrival) {
-    if (arrival > time) {
-        wait += arrival - time;
-        time = arrival;
-    }
+    const double t = std::max(time, arrival);
+    wait += t - time;
+    time = t;
 }
 
 /// The entries of `v` at `idx`, in order.
@@ -1304,7 +1308,7 @@ void RunState::probe_labels(std::uint32_t ci, bool clocked) {
         } else if (clocked) {
             labels_.push_back(0);
         } else {
-            labels_.push_back(std::bit_cast<std::uint64_t>(*a > s.time ? *a : s.time));
+            labels_.push_back(std::bit_cast<std::uint64_t>(std::max(s.time, *a)));
         }
     }
 }

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <thread>
 
 namespace as = armstice::sim;
@@ -315,5 +317,6 @@ TEST(Engine, RecvWaitZeroWhenMessageEarly) {
     progs[0].send(1, 8);
     progs[1].compute(work(8.8e9)).recv(0);
     const auto res = engine.run(progs);
-    EXPECT_LT(res.ranks[1].recv_wait, 1e-6);
+    // Exactly +0.0 by bit pattern: an early message adds +0 to the wait.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.ranks[1].recv_wait), 0U);
 }
