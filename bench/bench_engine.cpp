@@ -302,9 +302,9 @@ Scenario measure(const std::string& app, int ranks,
     require_bit_identical(res, engine.run(progs, flat),
                           format("%s at %d ranks", app.c_str(), ranks));
     s.bit_identical = true;
-    std::printf("  %-5s %5d ranks  %9ld ops  %8.4f s  %10.0f ops/s"
+    std::printf("  %-5s %5d ranks  %9ld ops  %9.3f ms  %10.0f ops/s"
                 "  rss %ld MiB%s  classes %d  msg records %d  (makespan %.3f s)\n",
-                app.c_str(), ranks, s.ops, s.seconds,
+                app.c_str(), ranks, s.ops, s.seconds * 1e3,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
                 s.peak_msg_records, res.makespan);
@@ -363,6 +363,9 @@ Scenario measure_scale(const std::string& app, int ranks,
     s.split_placement = res.collapse_split_placement;
     s.peak_msg_records = res.peak_msg_records;
     if (out != nullptr) *out = res;
+    // The RSS read comes before the untimed collapse-off check, whose
+    // O(ranks) flat run is not this row's footprint.
+    finish_rss(&s, rss_reset);
 
     if (check_flat) {
         as::RunOptions flat = opts;
@@ -372,11 +375,10 @@ Scenario measure_scale(const std::string& app, int ranks,
         s.bit_identical = true;
     }
 
-    finish_rss(&s, rss_reset);
-    std::printf("  %-10s %8d ranks  %11ld ops  %8.4f s  %12.3g ops/s"
+    std::printf("  %-10s %8d ranks  %11ld ops  %9.3f ms  %12.3g ops/s"
                 "  rss %ld MiB%s  classes %d  splits %d (p2p %d, noise %d, "
                 "placement %d)  msg records %d%s  (makespan %.3f s)\n",
-                app.c_str(), ranks, s.ops, s.seconds,
+                app.c_str(), ranks, s.ops, s.seconds * 1e3,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
                 s.collapse_splits, s.split_p2p, s.split_noise, s.split_placement,

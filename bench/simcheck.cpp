@@ -10,7 +10,8 @@
 // additionally gates rank-equivalence collapse (DESIGN.md §11) at N ranks —
 // far beyond the fuzz suite's case sizes — and `--halo-collapse-smoke N`
 // gates the relative-addressed halo path (§11.4: a 3D Cartesian skeleton
-// must end with classes << ranks AND stay bit-identical to collapse-off).
+// must end with classes << ranks AND stay bit-identical to collapse-off, and
+// under OS noise must never split a class by hop tier, §11.5).
 // Both smokes run their skeleton with os_noise = 0 and at default knobs.
 
 #include "arch/system.hpp"
@@ -147,9 +148,11 @@ Smoke collapse_smoke(int ranks) {
 /// noise), (b) stay bit-identical to collapse-off and to a perturbed
 /// collapsed schedule, and (c) hold at most neighbours x classes live
 /// message records (one per class per in-flight send, DESIGN.md §11.4; one
-/// record per rank pair would be ~587k at 100k ranks). This is the only
-/// halo gate at a scale (100k ranks in CI) the fuzz suite and unit tests
-/// cannot reach.
+/// record per rank pair would be ~587k at 100k ranks). The default-knob run
+/// must also make no placement split: under noise a class that straddles a
+/// node edge keeps per-member hop tiers (§11.5). This is the only halo gate
+/// at a scale (100k ranks in CI) the fuzz suite and unit tests cannot
+/// reach.
 Smoke halo_collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "halo-smoke-spmv";
@@ -203,6 +206,13 @@ Smoke halo_collapse_smoke(int ranks) {
                          ranks, r->peak_msg_records, bound);
             out.ok = false;
         }
+    }
+    if (noisy.collapse_split_placement != 0) {
+        std::fprintf(stderr,
+                     "halo collapse smoke (%d ranks): %d placement splits at default"
+                     " knobs — a noisy class split by hop tier\n",
+                     ranks, noisy.collapse_split_placement);
+        out.ok = false;
     }
     std::printf("halo collapse smoke: %d ranks, %d classes, %d splits"
                 " (p2p %d, placement %d), %d msg records; default knobs: %d"

@@ -28,9 +28,10 @@ enum class BlockKind { none, recv, collective };
 /// could break the symmetry — into subclasses that inherit the shared state,
 /// so every rank's trajectory is bit-identical to an uncollapsed run.
 /// Absolute-addressed p2p splits to singletons; relative-addressed p2p (the
-/// halo form) splits by *group*, peeling off only the members whose hop tier
-/// or message arrival actually diverges. OS noise never splits: it moves the
-/// members' clocks into per-member arrays (MemberClocks) instead.
+/// halo form) splits by *group*, peeling off only the members whose message
+/// arrival actually diverges, or, at os_noise = 0, whose hop tier does. OS
+/// noise never splits: it moves the members' clocks, and the hop tiers they
+/// disagree on, into per-member arrays (MemberClocks) instead.
 struct SimClass {
     // Execution state (what RankState used to hold).
     std::size_t pc = 0;
@@ -62,7 +63,8 @@ struct SimClass {
     /// Membership only ever shrinks, and uniform-over-a-set implies
     /// uniform-over-every-subset, so split-off subclasses inherit entries
     /// soundly — each halo direction is proven once per class, not once per
-    /// class per iteration.
+    /// class per iteration. Offsets whose members disagree live in
+    /// MemberClocks::tiers, which a split picks per part instead.
     std::vector<std::pair<int, int>> rel_tiers;
     // Per-member results, replicated to every member at the end. Summing the
     // replicas in ascending rank order reproduces the uncollapsed reductions
@@ -75,6 +77,15 @@ struct SimClass {
     std::vector<double> phase;  ///< compute seconds per interned PhaseId
 };
 
+/// The hop tiers of one relative send offset whose members disagree (a class
+/// straddling a node edge under OS noise): the distinct tiers, and each
+/// member's index into them, so a send prices each distinct tier once.
+struct MemberTiers {
+    int off;
+    std::vector<int> tiers;
+    std::vector<std::uint32_t> which;  ///< parallel to SimClass::members
+};
+
 /// Per-member clocks of a merged class whose members' times have diverged
 /// (OS noise, DESIGN.md §11.5). Every array is parallel to
 /// SimClass::members; `phase[id]` is one column of per-member compute
@@ -85,7 +96,12 @@ struct MemberClocks {
     std::vector<double> recv_wait;
     std::vector<double> coll_wait;
     std::vector<std::vector<double>> phase;
+    std::vector<MemberTiers> tiers;
 };
+
+/// send_tier's tier of an offset whose members disagree: each member's tier
+/// is in MemberClocks::tiers.
+constexpr int kTierEach = INT_MIN;
 
 constexpr std::uint32_t kNone = UINT32_MAX;
 
@@ -558,7 +574,8 @@ struct CollPrice {
 };
 
 /// Why a class split: every split event is attributed to the op kind that
-/// broke the symmetry (bench_engine reports the breakdown).
+/// broke the symmetry (bench_engine reports the breakdown). A placement
+/// split is a relative send's hop-tier split, made only at os_noise = 0.
 enum class SplitWhy { p2p, placement };
 
 /// "No pending match" signature of a probed member: the all-ones NaN bit
@@ -581,8 +598,9 @@ void await_arrival(double& time, double& wait, double arrival) {
 }
 
 /// The entries of `v` at `idx`, in order.
-std::vector<double> pick(const std::vector<double>& v, const std::vector<std::uint32_t>& idx) {
-    std::vector<double> out;
+template <class T>
+std::vector<T> pick(const std::vector<T>& v, const std::vector<std::uint32_t>& idx) {
+    std::vector<T> out;
     out.reserve(idx.size());
     for (const std::uint32_t i : idx) out.push_back(v[i]);
     return out;
@@ -633,18 +651,18 @@ private:
     bool collective(std::uint32_t ci, const Op& op);
     void sync(SimClass& s, double completion);
     // Splits.
-    bool uniform_tier(std::uint32_t ci, int off, int& tier);
+    bool send_tier(std::uint32_t ci, int off, int& tier);
     void probe_labels(std::uint32_t ci, bool clocked);
     void split_each(std::uint32_t ci);
-    void split_by_labels(std::uint32_t ci, SplitWhy why);
+    void split_by_labels(std::uint32_t ci);
     void split(std::uint32_t ci, SplitWhy why, std::size_t groups);
     // Per-member clocks (DESIGN.md §11.5), kept out of line.
     void diverge(SimClass& s);
     void hand_members(SimClass& s, const MemberClocks& mc,
                       const std::vector<std::uint32_t>& idx);
     [[gnu::noinline]] void member_compute(std::uint32_t ci, const ComputeOp& c);
-    [[gnu::noinline]] void member_send(std::uint32_t ci, int off, int tag, double p2p,
-                                       double inject);
+    [[gnu::noinline]] void member_send(std::uint32_t ci, int off, const SendOp& snd,
+                                       int tier, double inject);
     [[gnu::noinline]] void member_recv(std::uint32_t ci, const RecvOp& rcv);
     [[gnu::noinline]] void member_sync(SimClass& s, double completion);
     // Quiescence.
@@ -705,6 +723,9 @@ private:
     std::vector<std::uint64_t> labels_;
     std::vector<std::uint32_t> group_;
     std::unordered_map<std::uint64_t, std::uint32_t> group_of_label_;
+    // Tier scratch: a send's distinct hop tiers, and their prices.
+    std::vector<int> tier_list_;
+    std::vector<double> tier_prices_;
 
     RunResult result_;
 };
@@ -1063,10 +1084,11 @@ void RunState::see_phase(PhaseId id) {
 
 /// One SendOp. A singleton resolves its destination and prices its node
 /// pair. A merged class only ever reaches here with a relative send (every
-/// member m sends to m + dst at the same class time), and shares one price
-/// while every member's hop tier agrees (uniform_tier), so the send is ONE
-/// record in the message store; it group-splits by tier, pc unmoved, where
-/// tiers differ. Destination classes wake in first-appearance order over
+/// member m sends to m + dst), and shares one price while every member's
+/// hop tier agrees (send_tier), so the send is ONE record in the message
+/// store. Where tiers differ, a class under OS noise prices each member at
+/// its own tier (member_send); at os_noise = 0 it group-splits by tier, pc
+/// unmoved. Destination classes wake in first-appearance order over
 /// ascending members, the order a per-member delivery would wake them.
 void RunState::send(std::uint32_t ci, const SendOp& snd) {
     ARMSTICE_CHECK(snd.bytes >= 0, "negative message size");
@@ -1081,17 +1103,16 @@ void RunState::send(std::uint32_t ci, const SendOp& snd) {
     } else {
         ARMSTICE_CHECK(s.members.front() + off >= 0 && s.members.back() + off < n_,
                        "send dst out of range");
-        if (!uniform_tier(ci, off, tier)) return;  // split; `s` may dangle
+        if (!send_tier(ci, off, tier)) return;  // split; `s` may dangle
     }
-    const double p2p = tier_price(tier, snd.bytes);
     const double inject = np_.msg_overhead_s + snd.bytes / np_.injection_bw;
     if (s.clk >= 0) [[unlikely]] {
-        member_send(ci, off, snd.tag, p2p, inject);
+        member_send(ci, off, snd, tier, inject);
     } else {
         if (trace_ != nullptr) {
             trace_->add({s.rep, SpanKind::send, "", s.time, s.time + inject});
         }
-        msgs_.post(ci, off, snd.tag, s.time + p2p);
+        msgs_.post(ci, off, snd.tag, s.time + tier_price(tier, snd.bytes));
         s.time += inject;
     }
     s.stats.injected_bytes += snd.bytes;
@@ -1168,7 +1189,7 @@ bool RunState::rel_recv(std::uint32_t ci, const RecvOp& rcv) {
         bool uniform = true;
         for (const std::uint64_t l : labels_) uniform = uniform && l == labels_[0];
         if (!uniform) {
-            split_by_labels(ci, SplitWhy::p2p);
+            split_by_labels(ci);
             return false;
         }
         done = std::bit_cast<double>(labels_[0]);
@@ -1264,13 +1285,17 @@ void RunState::sync(SimClass& s, double completion) {
 
 // --- Splits ------------------------------------------------------------------
 
-/// The hop tier of merged class ci's relative send at offset `off`, when
-/// every member agrees on it. Tiers are proven once per (class, offset) and
-/// memoised in rel_tiers: membership only shrinks, and uniform over a set
-/// implies uniform over every subset, so split-off classes inherit the
-/// entries. Where members disagree (node-edge members of a block
-/// placement), the class group-splits by tier and this returns false.
-bool RunState::uniform_tier(std::uint32_t ci, int off, int& tier) {
+/// The hop tier of merged class ci's relative send at offset `off`, proven
+/// once per (class, offset). A tier every member agrees on is memoised in
+/// rel_tiers: membership only shrinks, and uniform over a set implies
+/// uniform over every subset, so split-off classes inherit the entries.
+/// Where members disagree (node-edge members of a block placement), a class
+/// under OS noise stays merged: it takes per-member clocks if it has none
+/// yet (its first noisy compute would give it them anyway), records each
+/// member's tier in MemberClocks::tiers and gets kTierEach. At os_noise = 0
+/// the class keeps its one clock and group-splits by tier instead, groups
+/// numbered by first appearance, and this returns false.
+bool RunState::send_tier(std::uint32_t ci, int off, int& tier) {
     SimClass& s = cls_[ci];
     for (const auto& [d, t] : s.rel_tiers) {
         if (d == off) {
@@ -1278,21 +1303,36 @@ bool RunState::uniform_tier(std::uint32_t ci, int off, int& tier) {
             return true;
         }
     }
-    const int t0 = hop_tier(s.members[0], s.members[0] + off);
-    bool uniform = true;
-    labels_.clear();
+    if (s.clk >= 0) {
+        for (const MemberTiers& mt : clocks_[static_cast<std::size_t>(s.clk)].tiers) {
+            if (mt.off == off) {
+                tier = kTierEach;
+                return true;
+            }
+        }
+    }
+    tier_list_.clear();
+    group_.clear();
     for (const int m : s.members) {
         const int t = hop_tier(m, m + off);
-        labels_.push_back(static_cast<std::uint32_t>(t));
-        uniform = uniform && t == t0;
+        std::uint32_t g = 0;
+        while (g < tier_list_.size() && tier_list_[g] != t) ++g;
+        if (g == tier_list_.size()) tier_list_.push_back(t);
+        group_.push_back(g);
     }
-    if (!uniform) {
-        split_by_labels(ci, SplitWhy::placement);
-        return false;
+    if (tier_list_.size() == 1) {
+        s.rel_tiers.emplace_back(off, tier_list_[0]);
+        tier = tier_list_[0];
+        return true;
     }
-    s.rel_tiers.emplace_back(off, t0);
-    tier = t0;
-    return true;
+    if (os_noise_ > 0) {
+        if (s.clk < 0) diverge(s);
+        clocks_[static_cast<std::size_t>(s.clk)].tiers.push_back({off, tier_list_, group_});
+        tier = kTierEach;
+        return true;
+    }
+    split(ci, SplitWhy::placement, tier_list_.size());
+    return false;
 }
 
 /// Per-member signatures of a probed relative receive of merged class ci,
@@ -1321,9 +1361,10 @@ void RunState::split_each(std::uint32_t ci) {
     split(ci, SplitWhy::p2p, group_.size());
 }
 
-/// Split merged class ci by the member signatures in labels_: one group per
-/// distinct label, numbered by first appearance, in one pass.
-void RunState::split_by_labels(std::uint32_t ci, SplitWhy why) {
+/// Split merged class ci by the member signatures of a relative receive in
+/// labels_: one group per distinct label, numbered by first appearance, in
+/// one pass.
+void RunState::split_by_labels(std::uint32_t ci) {
     group_of_label_.clear();
     group_.clear();
     std::uint64_t prev = labels_[0];
@@ -1337,7 +1378,7 @@ void RunState::split_by_labels(std::uint32_t ci, SplitWhy why) {
         }
         group_.push_back(g);
     }
-    split(ci, why, group_of_label_.size());
+    split(ci, SplitWhy::p2p, group_of_label_.size());
 }
 
 /// Split class ci into `groups` classes, member i going to group group_[i]
@@ -1348,7 +1389,8 @@ void RunState::split_by_labels(std::uint32_t ci, SplitWhy why) {
 /// — and every other group peels off as ONE new class, enqueued in group
 /// order. This is how a halo interior stays collapsed: symmetry breaks
 /// along placement and arrival boundaries, not per rank. Per-member clocks
-/// and pending message records are partitioned the same way.
+/// and tiers (hand_members) and pending message records are partitioned
+/// the same way.
 void RunState::split(std::uint32_t ci, SplitWhy why, std::size_t groups) {
     ++result_.collapse_splits;
     ++(why == SplitWhy::p2p ? result_.collapse_split_p2p
@@ -1416,8 +1458,9 @@ void RunState::diverge(SimClass& s) {
 }
 
 /// Hand the members at `idx` (ascending indices into mc) to class s: a
-/// group of one goes back to the scalar fields, a larger group gets its own
-/// slot.
+/// group of one goes back to the scalar fields and drops the per-member
+/// tiers (a singleton prices its own pair), a larger group gets its own
+/// slot with its members' clocks and tiers.
 void RunState::hand_members(SimClass& s, const MemberClocks& mc,
                             const std::vector<std::uint32_t>& idx) {
     if (idx.size() == 1) {
@@ -1441,6 +1484,10 @@ void RunState::hand_members(SimClass& s, const MemberClocks& mc,
     g.phase.resize(mc.phase.size());
     for (std::size_t id = 0; id < mc.phase.size(); ++id) {
         if (!mc.phase[id].empty()) g.phase[id] = pick(mc.phase[id], idx);
+    }
+    g.tiers.reserve(mc.tiers.size());
+    for (const MemberTiers& t : mc.tiers) {
+        g.tiers.push_back({t.off, t.tiers, pick(t.which, idx)});
     }
     s.clk = static_cast<int>(clocks_.size());
     clocks_.push_back(std::move(g));
@@ -1470,15 +1517,28 @@ void RunState::member_compute(std::uint32_t ci, const ComputeOp& c) {
     ++s.pc;
 }
 
-/// A merged relative send with per-member clocks: the tier and price are
-/// shared, but each member stamps its own arrival and advances its own
-/// clock.
-void RunState::member_send(std::uint32_t ci, int off, int tag, double p2p,
+/// A merged relative send with per-member clocks: each member stamps its own
+/// arrival and advances its own clock. Members share `tier`'s price, or,
+/// with kTierEach, each pays its own tier's, priced once per distinct tier:
+/// tier_price is pure, so every member gets its singleton's bits.
+void RunState::member_send(std::uint32_t ci, int off, const SendOp& snd, int tier,
                            double inject) {
     MemberClocks& mc = clocks_[static_cast<std::size_t>(cls_[ci].clk)];
-    double* arrival = msgs_.post_each(ci, off, tag);
+    double* arrival = msgs_.post_each(ci, off, snd.tag);
+    if (tier != kTierEach) {
+        const double p2p = tier_price(tier, snd.bytes);
+        for (std::size_t i = 0; i < mc.time.size(); ++i) {
+            arrival[i] = mc.time[i] + p2p;
+            mc.time[i] += inject;
+        }
+        return;
+    }
+    const MemberTiers* mt = mc.tiers.data();
+    while (mt->off != off) ++mt;  // send_tier recorded it
+    tier_prices_.clear();
+    for (const int t : mt->tiers) tier_prices_.push_back(tier_price(t, snd.bytes));
     for (std::size_t i = 0; i < mc.time.size(); ++i) {
-        arrival[i] = mc.time[i] + p2p;
+        arrival[i] = mc.time[i] + tier_prices_[mt->which[i]];
         mc.time[i] += inject;
     }
 }
@@ -1545,7 +1605,7 @@ bool RunState::resolve_partial() {
             // enqueued the peeled groups — only the in-place one needs an
             // explicit wake when it matched.
             probe_labels(ci, s.clk >= 0);
-            split_by_labels(ci, SplitWhy::p2p);
+            split_by_labels(ci);
             if (labels_[0] != kNoMatch) wake(ci);
         } else {
             wake(ci);  // all matched since blocking: just resume

@@ -73,7 +73,7 @@ TEST(AppDiagnostics, NekboneNodeConfig) {
 TEST(AppDiagnostics, CosaTwoNodes) {
     ap::CosaConfig cfg;
     cfg.nodes = 2;
-    expect_diagnostics("cosa", ap::run_cosa(a64(), cfg).run, {6, 2, 0, 2, 9});
+    expect_diagnostics("cosa", ap::run_cosa(a64(), cfg).run, {4, 0, 0, 0, 6});
 }
 
 TEST(AppDiagnostics, CastepFullNode) {

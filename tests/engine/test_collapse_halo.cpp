@@ -7,7 +7,9 @@
 // contract: bit-identical to collapse-off, RefEngine, and every perturbed
 // schedule, at any checker job count. The shape cases run twice: with
 // os_noise = 0, and at default knobs, where merged classes carry per-member
-// clocks (§11.5) and must end with no more classes than the quiet run.
+// clocks (§11.5) and must end with no more classes than the quiet run and
+// with no placement split: a class under noise that straddles a node edge
+// keeps per-member hop tiers instead of splitting by tier.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -100,9 +102,10 @@ void expect_invariant(const as::Engine& eng, const as::RunResult& collapsed,
 
 /// Run one halo case with os_noise = 0 and again at default knobs. Each run
 /// must be bit-identical to collapse-off, RefEngine and perturbed schedules,
-/// and must satisfy the case's own `check`; the noisy run must end with no
-/// more classes than the quiet one (per-member clocks never split a class
-/// on a noise draw or on a completion time).
+/// and must satisfy the case's own `check(engine, result, noisy)`; the noisy
+/// run must end with no more classes than the quiet one and with no
+/// placement split (per-member clocks and hop tiers never split a class on
+/// a noise draw, a completion time or a node edge).
 template <class Check>
 void quiet_and_noisy(int ranks, int nodes, const as::ProgramBundle& bundle,
                      const char* what, Check&& check) {
@@ -116,11 +119,12 @@ void quiet_and_noisy(int ranks, int nodes, const as::ProgramBundle& bundle,
             0.8, knobs);
         const auto collapsed = eng.run(bundle);
         EXPECT_EQ(collapsed.collapse_split_noise, 0);
-        check(eng, collapsed);
+        check(eng, collapsed, noisy);
         expect_invariant(eng, collapsed, bundle, what);
         EXPECT_BITEQ(collapsed, ref.run(bundle), what << ": vs RefEngine");
         if (noisy) {
             EXPECT_LE(collapsed.collapse_classes, quiet_classes) << what;
+            EXPECT_EQ(collapsed.collapse_split_placement, 0) << what;
         } else {
             quiet_classes = collapsed.collapse_classes;
         }
@@ -131,15 +135,19 @@ TEST(CollapseHalo, RingInteriorStaysMergedThroughP2p) {
     // 256 ranks on 4 nodes. In relative form the ring has three program
     // shapes (interior ±1, the two wrap ranks), and the interior class only
     // group-splits where the +1/-1 hop tier changes at a node edge — a
-    // handful of classes, not one per rank.
+    // handful of classes, not one per rank. Under noise it does not split
+    // there at all: its members carry their own tiers.
     const int ranks = 256;
     const auto bundle = halo_app(ring_neighbors(ranks), /*iters=*/3).take_bundle();
     quiet_and_noisy(ranks, 4, bundle, "ring 256",
-                    [&](const as::Engine& eng, const as::RunResult& collapsed) {
+                    [&](const as::Engine& eng, const as::RunResult& collapsed,
+                        bool noisy) {
                         EXPECT_LE(collapsed.collapse_classes, 16);
                         // Node-edge hop-tier changes are placement geometry,
                         // counted as such.
-                        EXPECT_GE(collapsed.collapse_split_placement, 1);
+                        if (!noisy) {
+                            EXPECT_GE(collapsed.collapse_split_placement, 1);
+                        }
                         EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes,
                                   ranks);
                     });
@@ -155,7 +163,7 @@ TEST(CollapseHalo, Torus2DWrapRanksSplitInteriorMerges) {
         halo_app(am::cart_neighbors(dims, /*periodic=*/true), /*iters=*/3)
             .take_bundle();
     quiet_and_noisy(ranks, 4, bundle, "torus 16x16",
-                    [&](const as::Engine&, const as::RunResult& collapsed) {
+                    [&](const as::Engine&, const as::RunResult& collapsed, bool) {
                         EXPECT_LE(collapsed.collapse_classes * 4, ranks);
                     });
 }
@@ -172,7 +180,8 @@ TEST(CollapseHalo, Torus3DCollapsesToSurfaceOrderClasses)  {
         halo_app(am::cart_neighbors(dims, /*periodic=*/true), /*iters=*/2)
             .take_bundle();
     quiet_and_noisy(ranks, 8, bundle, "torus 8x8x8",
-                    [&](const as::Engine& eng, const as::RunResult& collapsed) {
+                    [&](const as::Engine& eng, const as::RunResult& collapsed,
+                        bool) {
                         EXPECT_LE(collapsed.collapse_classes * 2, ranks);
                         EXPECT_EQ(eng.run(bundle, no_collapse()).collapse_classes,
                                   ranks);
@@ -190,7 +199,7 @@ TEST(CollapseHalo, NonDivisibleDecompositionsStayInvariant) {
             halo_app(am::cart_neighbors(dims, /*periodic=*/false), /*iters=*/2)
                 .take_bundle();
         quiet_and_noisy(90, 2, bundle, "box 6x5x3",
-                        [](const as::Engine&, const as::RunResult& collapsed) {
+                        [](const as::Engine&, const as::RunResult& collapsed, bool) {
                             EXPECT_LT(collapsed.collapse_classes, 90);
                         });
     }
@@ -199,18 +208,18 @@ TEST(CollapseHalo, NonDivisibleDecompositionsStayInvariant) {
             halo_app(am::chain_neighbors(64, /*active=*/45), /*iters=*/3)
                 .take_bundle();
         quiet_and_noisy(64, 1, bundle, "chain 45/64",
-                        [](const as::Engine&, const as::RunResult& collapsed) {
+                        [](const as::Engine&, const as::RunResult& collapsed, bool) {
                             EXPECT_LE(collapsed.collapse_classes, 8);
                         });
     }
 }
 
-TEST(CollapseHalo, NoisyInactiveChainSplitsByTierOnMemberClocks) {
+TEST(CollapseHalo, NoisyInactiveChainCarriesTiersOnMemberClocks) {
     // COSA's shape: per-rank compute first, then a chain halo over the 45
     // active of 64 ranks, then an allreduce. At default knobs the merged
     // classes carry per-member clocks by the time the first relative send
-    // checks its hop tier, so the node-edge group split must partition
-    // those clocks.
+    // checks its hop tier, so a class whose members straddle a node edge
+    // records each member's tier beside its clocks and stays merged.
     const int ranks = 64;
     const int active = 45;
     const auto nbrs = am::chain_neighbors(ranks, active);
@@ -231,11 +240,70 @@ TEST(CollapseHalo, NoisyInactiveChainSplitsByTierOnMemberClocks) {
         const as::Engine eng(aa::fulhame(), placement, 0.8);
         const as::RefEngine ref(aa::fulhame(), placement, 0.8);
         const auto collapsed = eng.run(bundle);
-        EXPECT_GE(collapsed.collapse_split_placement, 1) << nodes << " nodes";
+        EXPECT_EQ(collapsed.collapse_split_placement, 0) << nodes << " nodes";
         EXPECT_LE(collapsed.collapse_classes, 8) << nodes << " nodes";
         expect_invariant(eng, collapsed, bundle, "noisy chain 45/64");
         EXPECT_BITEQ(collapsed, ref.run(bundle), "noisy chain vs RefEngine");
     }
+}
+
+TEST(CollapseHalo, NoisySplitPartsSendAtTheirMembersTiers) {
+    // A two-wide relative pipeline on 8 nodes of 3 ranks. Ranks 2..21 first
+    // send to r + 2, which stays on the node for one member in three, so at
+    // default knobs their class records per-member hop tiers for offset +2.
+    // They then receive from r - 2, and quiescence splits the class stage by
+    // stage; each part sends a large message to r + 2 again, from the tier
+    // memo, and must price it at its own members' tiers.
+    const int ranks = 24;
+    std::vector<as::Program> progs(static_cast<std::size_t>(ranks));
+    for (int r = 0; r < ranks; ++r) {
+        auto& p = progs[static_cast<std::size_t>(r)];
+        p.compute(phase("wave", 1.0e6, 5.0e6));
+        if (r + 2 < ranks) p.send_rel(2, 4.0e4, /*tag=*/1);
+        if (r >= 2) p.recv_rel(-2, /*tag=*/4);
+        if (r + 2 < ranks) p.send_rel(2, 1.0e6, /*tag=*/4);
+        if (r >= 2) p.recv_rel(-2, /*tag=*/1);
+        p.allreduce(8);
+    }
+    const auto bundle = as::ProgramBundle::from(progs);
+    ASSERT_EQ(bundle.distinct(), 3);
+    const auto placement = as::Placement::block(aa::fulhame().node, 8, ranks, 1);
+    for (const bool noisy : {false, true}) {
+        SCOPED_TRACE(noisy ? "default knobs" : "os_noise = 0");
+        const aa::ModelKnobs knobs = noisy ? aa::ModelKnobs{} : quiet();
+        const as::Engine eng(aa::fulhame(), placement, 0.8, knobs);
+        const as::RefEngine ref(aa::fulhame(), placement, 0.8, knobs);
+        const auto collapsed = eng.run(bundle);
+        EXPECT_GE(collapsed.collapse_split_p2p, 1);
+        EXPECT_EQ(collapsed.collapse_split_placement, noisy ? 0 : 2);
+        // Stages wait on their predecessors' large messages.
+        EXPECT_GT(collapsed.ranks[9].recv_wait, 0.0);
+        expect_invariant(eng, collapsed, bundle, "tiered pipeline");
+        EXPECT_BITEQ(collapsed, ref.run(progs), "tiered pipeline vs RefEngine");
+    }
+}
+
+TEST(CollapseHalo, NoisyBoxAcrossNodeEdgesStaysMerged) {
+    // HPCG's shape on a 6x6x6 non-periodic box over 4 nodes of 54 ranks:
+    // node edges cut through the middle of a 36-rank plane, so face
+    // exchanges cross a node edge for some members of a class and not for
+    // others. With os_noise = 0 those classes split by hop tier; at default
+    // knobs they keep per-member tiers and end with fewer classes.
+    const int ranks = 216;
+    const auto dims = am::dims_create(ranks, 3);
+    ASSERT_EQ(dims[0] * dims[1] * dims[2], ranks);
+    const auto bundle =
+        halo_app(am::cart_neighbors(dims, /*periodic=*/false), /*iters=*/2).take_bundle();
+    int quiet_classes = 0;
+    quiet_and_noisy(ranks, 4, bundle, "box 6x6x6 on 4 nodes",
+                    [&](const as::Engine&, const as::RunResult& collapsed, bool noisy) {
+                        if (noisy) {
+                            EXPECT_LT(collapsed.collapse_classes, quiet_classes);
+                        } else {
+                            EXPECT_GE(collapsed.collapse_split_placement, 1);
+                            quiet_classes = collapsed.collapse_classes;
+                        }
+                    });
 }
 
 TEST(CollapseHalo, NoisyPipelineGroupSplitsAtQuiescence) {

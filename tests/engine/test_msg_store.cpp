@@ -63,16 +63,18 @@ struct Runs {
 };
 
 /// Run `progs` (shared through ProgramBundle::from, so equal programs form
-/// one class) quiet and at default knobs. Each collapsed run must be
-/// bit-identical to RefEngine, collapse off and two perturbed schedules.
-Runs run_everywhere(const std::vector<as::Program>& progs, int nodes, const char* what) {
+/// one class) on `sys`, quiet and at default knobs. Each collapsed run must
+/// be bit-identical to RefEngine, collapse off and two perturbed schedules.
+Runs run_everywhere(const std::vector<as::Program>& progs, int nodes, const char* what,
+                    const aa::SystemSpec& sys = aa::fulhame()) {
     const int ranks = static_cast<int>(progs.size());
     const auto bundle = as::ProgramBundle::from(progs);
+    const auto placement = as::Placement::block(sys.node, nodes, ranks, 1);
     Runs out;
     for (const bool noisy : {false, true}) {
         SCOPED_TRACE(noisy ? "default knobs" : "os_noise = 0");
-        const as::Engine eng(aa::fulhame(), block(nodes, ranks), 0.8, knobs_for(noisy));
-        const as::RefEngine ref(aa::fulhame(), block(nodes, ranks), 0.8, knobs_for(noisy));
+        const as::Engine eng(sys, placement, 0.8, knobs_for(noisy));
+        const as::RefEngine ref(sys, placement, 0.8, knobs_for(noisy));
         const as::RunResult collapsed = eng.run(bundle);
         EXPECT_BITEQ(collapsed, ref.run(progs), what << ": vs RefEngine");
         as::RunOptions off;
@@ -195,10 +197,11 @@ TEST(MsgStore, TwoInFlightSendsAndReversedTags) {
 
 TEST(MsgStore, SenderTierSplitsWithRecordsPending) {
     // A 32-rank chain on 4 nodes: the interior sends to r + 1, then to
-    // r - 1, then receives both. The +1 send group-splits off the members
-    // whose partner is on the next node; the in-place group posts its +1
-    // record and then group-splits again on the -1 hop tier, so that
-    // pending record is partitioned between the new classes.
+    // r - 1, then receives both. With os_noise = 0 the +1 send group-splits
+    // off the members whose partner is on the next node; the in-place group
+    // posts its +1 record and then group-splits again on the -1 hop tier, so
+    // that pending record is partitioned between the new classes. At
+    // default knobs the interior keeps per-member tiers and never splits.
     const int ranks = 32;
     std::vector<as::Program> progs(ranks);
     for (int r = 0; r < ranks; ++r) {
@@ -211,8 +214,9 @@ TEST(MsgStore, SenderTierSplitsWithRecordsPending) {
         p.allreduce(8);
     }
     const Runs runs = run_everywhere(progs, 4, "tier split with pending records");
+    EXPECT_EQ(runs.quiet.collapse_split_placement, 2);
+    EXPECT_EQ(runs.noisy.collapse_split_placement, 0);
     for (const as::RunResult* r : {&runs.quiet, &runs.noisy}) {
-        EXPECT_EQ(r->collapse_split_placement, 2);
         EXPECT_LT(r->collapse_classes, ranks);
         EXPECT_GT(r->peak_msg_records, 0);
     }
@@ -240,6 +244,66 @@ TEST(MsgStore, SenderQuiescenceSplitsWithRecordsPending) {
         EXPECT_GE(r->collapse_split_p2p, 1);
         EXPECT_EQ(r->collapse_split_placement, 0);
         EXPECT_EQ(r->ranks[7].msgs_received, 2);
+    }
+}
+
+TEST(MsgStore, NoisySenderQuiescenceSplitKeepsMemberArrivals) {
+    // The pipeline above on an A64FX node, whose shared-memory bandwidth is
+    // below its injection bandwidth, with a tag-1 message large enough to
+    // land after the pipeline drains. At default knobs the tag-1 record of
+    // ranks 2..13 holds one arrival per member while quiescence splits
+    // their class stage by stage, so every part must carry its own
+    // members' arrivals: each final receive waits for exactly its own.
+    const int ranks = 16;
+    std::vector<as::Program> progs(ranks);
+    for (int r = 0; r < ranks; ++r) {
+        auto& p = progs[static_cast<std::size_t>(r)];
+        p.compute(phase("stage", 1.0e6));
+        if (r + 2 < ranks) p.send_rel(2, 2.0e8, /*tag=*/1);
+        if (r >= 2) p.recv_rel(-2, /*tag=*/2);
+        if (r + 2 < ranks) p.send_rel(2, 2.0e4, /*tag=*/2);
+        if (r >= 2) p.recv_rel(-2, /*tag=*/1);
+        p.allreduce(8);
+    }
+    const Runs runs = run_everywhere(
+        progs, 1, "quiescence split with per-member arrivals pending", aa::a64fx());
+    for (const as::RunResult* r : {&runs.quiet, &runs.noisy}) {
+        EXPECT_GE(r->collapse_split_p2p, 1);
+        EXPECT_EQ(r->ranks[7].msgs_received, 2);
+        // Rank 7 sent its own tag-1 message before it waits on rank 5's,
+        // and that one lands later still.
+        EXPECT_GT(r->ranks[7].recv_wait, 1.0e-3);
+    }
+}
+
+TEST(MsgStore, NoisySenderSplitsEachWithMemberArrivalsPending) {
+    // Ranks 0..7 post one large send to r + 8, then an absolute send to
+    // rank 16 splits them to singletons while that record is pending. At
+    // default knobs the record holds one arrival per member, and each
+    // singleton must keep its own: ranks 8..15 compute little, so their
+    // receives complete at those arrivals.
+    const int ranks = 17;
+    std::vector<as::Program> progs(ranks);
+    for (int r = 0; r < ranks; ++r) {
+        auto& p = progs[static_cast<std::size_t>(r)];
+        if (r < 8) {
+            p.compute(phase("send side", 8.0e6));
+            p.send_rel(8, 1.0e6, /*tag=*/5);
+            p.send(16, 1.0e3, /*tag=*/9);
+        } else if (r < 16) {
+            p.compute(phase("recv side", 1.0e5));
+            p.recv_rel(-8, /*tag=*/5);
+        } else {
+            for (int s = 0; s < 8; ++s) p.recv(s, /*tag=*/9);
+        }
+        p.allreduce(8);
+    }
+    const Runs runs = run_everywhere(progs, 1, "absolute split with per-member arrivals pending");
+    for (const as::RunResult* r : {&runs.quiet, &runs.noisy}) {
+        // Eight sender singletons, the merged receivers and rank 16.
+        EXPECT_EQ(r->collapse_classes, 10);
+        EXPECT_EQ(r->collapse_split_p2p, 1);
+        EXPECT_GT(r->ranks[9].recv_wait, 0.0);
     }
 }
 
