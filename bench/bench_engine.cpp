@@ -14,7 +14,10 @@
 // collapse off, each halo row is measured with collapse on and off, and the
 // 100k-rank SPMD row is diffed against a collapse-off run; the two
 // RunResults must match, and the bench exits 1 rather than write numbers
-// from a diverging engine.
+// from a diverging engine. Each default-knob row must also end with the
+// classes it started with: under OS noise every merged class runs on
+// per-member clocks and hop tiers (DESIGN.md §11.5), so a split there is a
+// collapse regression, and the bench exits 1 on it too.
 //
 // The JSON carries two measurement sets: "baseline" (numbers recorded on the
 // pre-optimization engine when this bench was introduced, kept as literals
@@ -36,6 +39,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -303,11 +307,21 @@ Scenario measure(const std::string& app, int ranks,
                           format("%s at %d ranks", app.c_str(), ranks));
     s.bit_identical = true;
     std::printf("  %-5s %5d ranks  %9ld ops  %9.3f ms  %10.0f ops/s"
-                "  rss %ld MiB%s  classes %d  msg records %d  (makespan %.3f s)\n",
+                "  rss %ld MiB%s  classes %d  splits %d  msg records %d"
+                "  (makespan %.3f s)\n",
                 app.c_str(), ranks, s.ops, s.seconds * 1e3,
                 s.ops_per_sec, s.peak_rss_kb / 1024,
                 s.rss_per_scenario ? "" : " (process)", s.collapse_classes,
-                s.peak_msg_records, res.makespan);
+                s.collapse_splits, s.peak_msg_records, res.makespan);
+    // The halo skeletons match every receive, so under noise nothing may
+    // split: per-member clocks and hop tiers keep every class merged.
+    if (s.collapse_splits != 0) {
+        std::fprintf(stderr,
+                     "bench_engine: %s at %d ranks split %d times at default knobs,"
+                     " where per-member clocks keep every class merged\n",
+                     app.c_str(), ranks, s.collapse_splits);
+        std::exit(1);
+    }
     return s;
 }
 

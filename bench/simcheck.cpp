@@ -11,8 +11,9 @@
 // far beyond the fuzz suite's case sizes — and `--halo-collapse-smoke N`
 // gates the relative-addressed halo path (§11.4: a 3D Cartesian skeleton
 // must end with classes << ranks AND stay bit-identical to collapse-off, and
-// under OS noise must never split a class by hop tier, §11.5).
-// Both smokes run their skeleton with os_noise = 0 and at default knobs.
+// under OS noise must never split a class, §11.5). Both smokes run their
+// skeleton with os_noise = 0 and at default knobs, and name every gate that
+// failed on their summary line.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -31,6 +32,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -54,14 +56,30 @@ struct Smoke {
     int classes = 0;        ///< classes the os_noise = 0 run ended with
     int noisy_classes = 0;  ///< classes the default-knob run ended with
     int msg_records = 0;    ///< peak live message records of the quiet run
-    bool ok = true;         ///< both runs bit-identical and within the bound
+    /// The gates either run failed, each named once: "bit-identity",
+    /// "classes", "msg records" or "splits".
+    std::vector<std::string> failed;
+
+    [[nodiscard]] bool ok() const { return failed.empty(); }
+    void fail(const char* gate) {
+        if (std::find(failed.begin(), failed.end(), gate) == failed.end()) {
+            failed.emplace_back(gate);
+        }
+    }
+    /// The verdict that ends the summary line.
+    [[nodiscard]] std::string verdict() const {
+        if (ok()) return "bit-identical";
+        std::string v = "FAILED: " + failed[0];
+        for (std::size_t i = 1; i < failed.size(); ++i) v += ", " + failed[i];
+        return v;
+    }
 };
 
 /// Run `bundle` collapsed, uncollapsed and collapsed under a perturbed
 /// schedule with `knobs`, and require all three RunResults bit-identical.
 /// Prints any difference under `what`; returns the collapsed result.
 as::RunResult smoke_run(const char* what, int ranks, const as::ProgramBundle& bundle,
-                        const aa::ModelKnobs& knobs, std::uint64_t seed, bool* ok) {
+                        const aa::ModelKnobs& knobs, std::uint64_t seed, Smoke* out) {
     const int nodes = (ranks + 63) / 64;
     const as::Engine eng(aa::fulhame(),
                          as::Placement::block(aa::fulhame().node, nodes, ranks, 1),
@@ -81,7 +99,7 @@ as::RunResult smoke_run(const char* what, int ranks, const as::ProgramBundle& bu
         std::fprintf(stderr, "%s (%d ranks): collapsed vs perturbed: %s\n", what,
                      ranks, d2.c_str());
     }
-    *ok = *ok && d1.empty() && d2.empty();
+    if (!d1.empty() || !d2.empty()) out->fail("bit-identity");
     return collapsed;
 }
 
@@ -119,23 +137,22 @@ Smoke collapse_smoke(int ranks) {
     aa::ModelKnobs noiseless;
     noiseless.os_noise = 0;
     const as::RunResult quiet =
-        smoke_run("collapse smoke", ranks, bundle, noiseless, 0x5eedful, &out.ok);
+        smoke_run("collapse smoke", ranks, bundle, noiseless, 0x5eedful, &out);
     const as::RunResult noisy = smoke_run("collapse smoke, default knobs", ranks,
-                                          bundle, aa::ModelKnobs{}, 0x5eedful, &out.ok);
+                                          bundle, aa::ModelKnobs{}, 0x5eedful, &out);
     out.classes = quiet.collapse_classes;
     out.noisy_classes = noisy.collapse_classes;
     for (const as::RunResult* r : {&quiet, &noisy}) {
         if (r->collapse_splits != 0) {
             std::fprintf(stderr, "collapse smoke (%d ranks): %d splits in an SPMD run\n",
                          ranks, r->collapse_splits);
-            out.ok = false;
+            out.fail("splits");
         }
     }
     std::printf("collapse smoke: %d ranks, %d classes (default knobs: %d), %d splits"
                 " — %s\n",
                 ranks, out.classes, out.noisy_classes,
-                quiet.collapse_splits + noisy.collapse_splits,
-                out.ok ? "bit-identical" : "MISMATCH");
+                quiet.collapse_splits + noisy.collapse_splits, out.verdict().c_str());
     return out;
 }
 
@@ -149,10 +166,11 @@ Smoke collapse_smoke(int ranks) {
 /// collapsed schedule, and (c) hold at most neighbours x classes live
 /// message records (one per class per in-flight send, DESIGN.md §11.4; one
 /// record per rank pair would be ~587k at 100k ranks). The default-knob run
-/// must also make no placement split: under noise a class that straddles a
-/// node edge keeps per-member hop tiers (§11.5). This is the only halo gate
-/// at a scale (100k ranks in CI) the fuzz suite and unit tests cannot
-/// reach.
+/// must also make no split at all: under noise every merged class runs on
+/// per-member clocks and hop tiers (§11.5), so neither a node edge nor a
+/// completion time splits it, and the skeleton matches every receive. This
+/// is the only halo gate at a scale (100k ranks in CI) the fuzz suite and
+/// unit tests cannot reach.
 Smoke halo_collapse_smoke(int ranks) {
     aa::ComputePhase spmv;
     spmv.label = "halo-smoke-spmv";
@@ -176,10 +194,10 @@ Smoke halo_collapse_smoke(int ranks) {
     aa::ModelKnobs noiseless;
     noiseless.os_noise = 0;
     const as::RunResult quiet = smoke_run("halo collapse smoke", ranks, bundle,
-                                          noiseless, 0x4a105eedULL, &out.ok);
+                                          noiseless, 0x4a105eedULL, &out);
     const as::RunResult noisy =
         smoke_run("halo collapse smoke, default knobs", ranks, bundle,
-                  aa::ModelKnobs{}, 0x4a105eedULL, &out.ok);
+                  aa::ModelKnobs{}, 0x4a105eedULL, &out);
     out.classes = quiet.collapse_classes;
     out.noisy_classes = noisy.collapse_classes;
     out.msg_records = quiet.peak_msg_records;
@@ -196,7 +214,7 @@ Smoke halo_collapse_smoke(int ranks) {
                          "halo collapse smoke (%d ranks): %d classes — interior did"
                          " not stay merged\n",
                          ranks, r->collapse_classes);
-            out.ok = false;
+            out.fail("classes");
         }
         const auto bound = static_cast<long long>(degree) * r->collapse_classes;
         if (r->peak_msg_records > bound) {
@@ -204,15 +222,17 @@ Smoke halo_collapse_smoke(int ranks) {
                          "halo collapse smoke (%d ranks): %d live message records,"
                          " more than neighbours x classes = %lld\n",
                          ranks, r->peak_msg_records, bound);
-            out.ok = false;
+            out.fail("msg records");
         }
     }
-    if (noisy.collapse_split_placement != 0) {
+    if (noisy.collapse_splits != 0) {
         std::fprintf(stderr,
-                     "halo collapse smoke (%d ranks): %d placement splits at default"
-                     " knobs — a noisy class split by hop tier\n",
-                     ranks, noisy.collapse_split_placement);
-        out.ok = false;
+                     "halo collapse smoke (%d ranks): %d splits at default knobs"
+                     " (p2p %d, placement %d), where per-member clocks keep"
+                     " every class merged\n",
+                     ranks, noisy.collapse_splits, noisy.collapse_split_p2p,
+                     noisy.collapse_split_placement);
+        out.fail("splits");
     }
     std::printf("halo collapse smoke: %d ranks, %d classes, %d splits"
                 " (p2p %d, placement %d), %d msg records; default knobs: %d"
@@ -220,8 +240,7 @@ Smoke halo_collapse_smoke(int ranks) {
                 ranks, quiet.collapse_classes, quiet.collapse_splits,
                 quiet.collapse_split_p2p, quiet.collapse_split_placement,
                 quiet.peak_msg_records, noisy.collapse_classes,
-                noisy.collapse_splits, noisy.peak_msg_records,
-                out.ok ? "bit-identical" : "MISMATCH");
+                noisy.collapse_splits, noisy.peak_msg_records, out.verdict().c_str());
     return out;
 }
 
@@ -237,14 +256,14 @@ void write_json(const ck::CheckConfig& cfg, const ck::CheckReport& rep,
     j += format("  \"collapse_smoke_ranks\": %d,\n  \"collapse_smoke_ok\": %s,\n"
                 "  \"collapse_smoke_classes\": %d,\n"
                 "  \"collapse_smoke_noisy_classes\": %d,\n",
-                smoke.ranks, smoke.ok ? "true" : "false", smoke.classes,
+                smoke.ranks, smoke.ok() ? "true" : "false", smoke.classes,
                 smoke.noisy_classes);
     j += format("  \"halo_collapse_smoke_ranks\": %d,\n"
                 "  \"halo_collapse_smoke_ok\": %s,\n"
                 "  \"halo_collapse_smoke_classes\": %d,\n"
                 "  \"halo_collapse_smoke_noisy_classes\": %d,\n"
                 "  \"halo_collapse_smoke_msg_records\": %d,\n",
-                halo.ranks, halo.ok ? "true" : "false", halo.classes,
+                halo.ranks, halo.ok() ? "true" : "false", halo.classes,
                 halo.noisy_classes, halo.msg_records);
     j += format("  \"seconds\": %.3f,\n  \"seeds_per_sec\": %.2f\n}\n", seconds,
                 seconds > 0 ? cfg.seeds / seconds : 0.0);
@@ -306,5 +325,5 @@ int main(int argc, char** argv) {
     const Smoke smoke = smoke_ranks > 0 ? collapse_smoke(smoke_ranks) : Smoke{};
     const Smoke halo = halo_ranks > 0 ? halo_collapse_smoke(halo_ranks) : Smoke{};
     write_json(cfg, rep, dt, smoke, halo);
-    return rep.ok() && smoke.ok && halo.ok ? 0 : 1;
+    return rep.ok() && smoke.ok() && halo.ok() ? 0 : 1;
 }

@@ -72,13 +72,7 @@ Network::Network(arch::NetKind kind, int n_nodes)
 
 double Network::p2p_time(int node_a, int node_b, double bytes) const {
     ARMSTICE_CHECK(bytes >= 0, "negative message size");
-    if (node_a == node_b) {
-        return params_.shm_latency_s + bytes / params_.shm_bandwidth +
-               params_.msg_overhead_s;
-    }
-    const int h = topo_->hops(node_a, node_b);
-    return params_.latency_s + h * params_.per_hop_s + bytes / params_.bandwidth +
-           params_.msg_overhead_s;
+    return tier_time(tier(node_a, node_b), bytes);
 }
 
 double Network::mean_latency() const {

@@ -27,11 +27,12 @@ enum class BlockKind { none, recv, collective };
 /// per-rank state. Collapsed classes split — lazily, the moment the next op
 /// could break the symmetry — into subclasses that inherit the shared state,
 /// so every rank's trajectory is bit-identical to an uncollapsed run.
-/// Absolute-addressed p2p splits to singletons; relative-addressed p2p (the
-/// halo form) splits by *group*, peeling off only the members whose message
-/// arrival actually diverges, or, at os_noise = 0, whose hop tier does. OS
-/// noise never splits: it moves the members' clocks, and the hop tiers they
-/// disagree on, into per-member arrays (MemberClocks) instead.
+/// Absolute-addressed p2p splits to singletons. Under OS noise every merged
+/// class runs on per-member clocks and hop tiers (MemberClocks) from the
+/// moment it forms, so relative-addressed p2p (the halo form) splits it only
+/// where match state differs at quiescence. At os_noise = 0 a merged class
+/// has one clock and group-splits, peeling off only the members whose hop
+/// tier or message arrival actually diverges.
 struct SimClass {
     // Execution state (what RankState used to hold).
     std::size_t pc = 0;
@@ -48,8 +49,9 @@ struct SimClass {
     bool finished = false;
     bool queued = false;
     bool any_grant = false;  ///< quiescence grant for an ANY_SOURCE recv
-    /// MemberClocks slot; -1 = members agree (scalars). Kept on the first
-    /// cache line, beside the fields a collective's waiter update touches.
+    /// MemberClocks slot, held by exactly the merged classes of a run with
+    /// OS noise; -1 = one clock (the scalars). Kept on the first cache line,
+    /// beside the fields a collective's waiter update touches.
     int clk = -1;
     // Class identity.
     const Program* prog = nullptr;
@@ -69,7 +71,7 @@ struct SimClass {
     // Per-member results, replicated to every member at the end. Summing the
     // replicas in ascending rank order reproduces the uncollapsed reductions
     // bit-exactly because each member would have produced the same values.
-    // Once clk >= 0, `time`, the time-derived stats and `phase` are frozen
+    // With clk >= 0, `time`, the time-derived stats and `phase` stay unused
     // and the MemberClocks arrays hold each member's values; the counts,
     // `injected_bytes` and `flops` never depend on time and stay here.
     RankStats stats;
@@ -86,10 +88,10 @@ struct MemberTiers {
     std::vector<std::uint32_t> which;  ///< parallel to SimClass::members
 };
 
-/// Per-member clocks of a merged class whose members' times have diverged
-/// (OS noise, DESIGN.md §11.5). Every array is parallel to
-/// SimClass::members; `phase[id]` is one column of per-member compute
-/// seconds, empty for a label the class has not timed.
+/// Per-member clocks of a merged class under OS noise, whose rank-keyed draws
+/// move each member's time on its own (DESIGN.md §11.5). Every array is
+/// parallel to SimClass::members; `phase[id]` is one column of per-member
+/// compute seconds, empty for a label the class has not timed.
 struct MemberClocks {
     std::vector<double> time;
     std::vector<double> compute;
@@ -230,15 +232,14 @@ public:
         }
         return m;
     }
-    /// After a fully matched probe: when every member's completion
-    /// max(time, arrival) is one value, store it in `done` and return true.
-    /// False when completions differ or a source class has per-member
-    /// arrivals (the caller then reads them through probed_arrival).
+    /// After a fully matched probe by a class with one clock: when every
+    /// member's completion max(time, arrival) is one value, store it in
+    /// `done` and return true. False when completions differ. Such a class
+    /// runs at os_noise = 0, where no sender posts per-member arrivals.
     bool uniform_done(double time, double& done) const {
         bool first = true;
         for (const Probed& p : probed_) {
             const Record& r = records_[p.rec];
-            if (r.each != kNone) return false;
             const double d = std::max(time, r.arrival);
             if (!first && std::bit_cast<std::uint64_t>(d) !=
                               std::bit_cast<std::uint64_t>(done)) {
@@ -634,7 +635,6 @@ private:
                          std::uint32_t cc);
     [[nodiscard]] int node_of(int r) const;
     [[nodiscard]] int hop_tier(int a, int b) const;
-    [[nodiscard]] double tier_price(int tier, double bytes) const;
     double collective_cost(CollKind kind, double bytes);
     // Run queue.
     void wake(std::uint32_t ci);
@@ -652,12 +652,11 @@ private:
     void sync(SimClass& s, double completion);
     // Splits.
     bool send_tier(std::uint32_t ci, int off, int& tier);
-    void probe_labels(std::uint32_t ci, bool clocked);
+    void probe_labels(std::uint32_t ci);
     void split_each(std::uint32_t ci);
     void split_by_labels(std::uint32_t ci);
     void split(std::uint32_t ci, SplitWhy why, std::size_t groups);
     // Per-member clocks (DESIGN.md §11.5), kept out of line.
-    void diverge(SimClass& s);
     void hand_members(SimClass& s, const MemberClocks& mc,
                       const std::vector<std::uint32_t>& idx);
     [[gnu::noinline]] void member_compute(std::uint32_t ci, const ComputeOp& c);
@@ -678,14 +677,11 @@ private:
     const int n_;
     Trace* const trace_;
     const double os_noise_;
-    const net::LinkParams& np_;
-    const net::Topology& topo_;
+    const net::Network& net_;
     const net::CollectiveModel coll_model_;
     /// Collective layout from the *actual* placement occupancy (shared with
     /// sim::RefEngine so both price collectives identically).
     const net::CommLayout layout_;
-    /// Off-node base p2p seconds per hop count (DESIGN.md §8).
-    std::vector<double> hop_base_;
     /// Schedule perturbation (sim::check): any nonzero seed permutes every
     /// order-free choice the engine makes — the runnable pop order, the
     /// quiescence resolver's scan order, and the order a completed
@@ -778,26 +774,30 @@ RunState::RunState(const Placement& placement, const net::Network& network,
       n_(placement.ranks()),
       trace_(trace),
       os_noise_(cost.knobs().os_noise),
-      np_(network.params()),
-      topo_(network.topology()),
+      net_(network),
       coll_model_(network),
       layout_(placement.comm_layout()),
       perturb_(opts.perturb_seed != 0),
       perturb_rng_(opts.perturb_seed),
       cls_of_(static_cast<std::size_t>(n_), 0),
       msgs_(cls_, cls_of_) {
-    // Network::p2p_time(a, b, bytes) evaluates ((base + bytes/bw) +
-    // msg_overhead), where base depends on (a, b) only through the hop
-    // count: latency_s + hops*per_hop_s off-node (hops in [1, diameter], a
-    // topology contract the counting-form diameter() overrides pin) and
-    // shm_latency_s on-node. The base per hop tier, with the identical
-    // expression, keeps tier_price bit-exact without an O(nodes^2) table.
-    hop_base_.resize(static_cast<std::size_t>(topo_.diameter()) + 1);
-    for (std::size_t h = 0; h < hop_base_.size(); ++h) {
-        hop_base_[h] = np_.latency_s + static_cast<int>(h) * np_.per_hop_s;
-    }
     // Tracing needs per-rank spans, so a Trace forces singletons.
     group_ranks(programs, prog_of, opts.collapse && trace == nullptr);
+    // Under OS noise every merged class runs on per-member clocks from the
+    // start (DESIGN.md §11.5), every member at zero, as its singleton
+    // starts. At os_noise = 0 no class ever gets a slot.
+    if (os_noise_ > 0) {
+        for (SimClass& s : cls_) {
+            if (s.size == 1) continue;
+            const std::size_t k = s.members.size();
+            MemberClocks& mc = clocks_.emplace_back();
+            mc.time.assign(k, 0.0);
+            mc.compute.assign(k, 0.0);
+            mc.recv_wait.assign(k, 0.0);
+            mc.coll_wait.assign(k, 0.0);
+            s.clk = static_cast<int>(clocks_.size() - 1);
+        }
+    }
     collectives_.reserve(64);
     runnable_.reserve(cls_.size() * 2);
     for (std::uint32_t i = 0; i < cls_.size(); ++i) {
@@ -918,22 +918,10 @@ int RunState::node_of(int r) const {
     return c.rep == r ? c.node : placement_.loc(r).node;
 }
 
-/// Hop tier of a message from rank a to rank b: -1 when they share a node,
-/// else the hop count. With the byte count it fixes the transfer price, so
-/// "same tier for every member" is exactly "same send timing".
-int RunState::hop_tier(int a, int b) const {
-    const int na = node_of(a);
-    const int nb = node_of(b);
-    return na == nb ? -1 : topo_.hops(na, nb);
-}
-
-/// Transfer seconds of `bytes` under one hop tier: Network::p2p_time's
-/// expression, term for term.
-double RunState::tier_price(int tier, double bytes) const {
-    if (tier < 0) return np_.shm_latency_s + bytes / np_.shm_bandwidth + np_.msg_overhead_s;
-    return hop_base_[static_cast<std::size_t>(tier)] + bytes / np_.bandwidth +
-           np_.msg_overhead_s;
-}
+/// Hop tier (net::Network::tier) of a message from rank a to rank b. With
+/// the byte count it fixes the transfer price, so "same tier for every
+/// member" is exactly "same send timing".
+int RunState::hop_tier(int a, int b) const { return net_.tier(node_of(a), node_of(b)); }
 
 double RunState::collective_cost(CollKind kind, double bytes) {
     for (const auto& cp : coll_prices_) {
@@ -1049,11 +1037,11 @@ void RunState::execute(std::uint32_t ci) {
 }
 
 /// One ComputeOp: priced once per (phase, context class), then stretched by
-/// the rank-keyed noise draw. A merged class under noise stretches each
-/// member by its own draw (member_compute).
+/// the rank-keyed noise draw. A class with per-member clocks (merged, under
+/// noise) stretches each member by its own draw (member_compute).
 void RunState::compute(std::uint32_t ci, const ComputeOp& c) {
     SimClass& s = cls_[ci];
-    if (s.size > 1 && os_noise_ > 0) [[unlikely]] {
+    if (s.clk >= 0) [[unlikely]] {
         member_compute(ci, c);
         return;
     }
@@ -1086,10 +1074,11 @@ void RunState::see_phase(PhaseId id) {
 /// pair. A merged class only ever reaches here with a relative send (every
 /// member m sends to m + dst), and shares one price while every member's
 /// hop tier agrees (send_tier), so the send is ONE record in the message
-/// store. Where tiers differ, a class under OS noise prices each member at
-/// its own tier (member_send); at os_noise = 0 it group-splits by tier, pc
-/// unmoved. Destination classes wake in first-appearance order over
-/// ascending members, the order a per-member delivery would wake them.
+/// store. Where tiers differ, a class with per-member clocks (any merged
+/// class under OS noise) prices each member at its own tier (member_send);
+/// a class with one clock (os_noise = 0) group-splits by tier, pc unmoved.
+/// Destination classes wake in first-appearance order over ascending
+/// members, the order a per-member delivery would wake them.
 void RunState::send(std::uint32_t ci, const SendOp& snd) {
     ARMSTICE_CHECK(snd.bytes >= 0, "negative message size");
     SimClass& s = cls_[ci];
@@ -1105,14 +1094,14 @@ void RunState::send(std::uint32_t ci, const SendOp& snd) {
                        "send dst out of range");
         if (!send_tier(ci, off, tier)) return;  // split; `s` may dangle
     }
-    const double inject = np_.msg_overhead_s + snd.bytes / np_.injection_bw;
+    const double inject = net_.injection_time(snd.bytes);
     if (s.clk >= 0) [[unlikely]] {
         member_send(ci, off, snd, tier, inject);
     } else {
         if (trace_ != nullptr) {
             trace_->add({s.rep, SpanKind::send, "", s.time, s.time + inject});
         }
-        msgs_.post(ci, off, snd.tag, s.time + tier_price(tier, snd.bytes));
+        msgs_.post(ci, off, snd.tag, s.time + net_.tier_time(tier, snd.bytes));
         s.time += inject;
     }
     s.stats.injected_bytes += snd.bytes;
@@ -1158,16 +1147,18 @@ bool RunState::recv(std::uint32_t ci, const RecvOp& rcv) {
 
 /// One relative RecvOp of merged class ci; true when it blocked. Member m
 /// takes the next message of the tag from m + src, exactly as a singleton
-/// would; the store resolves the members by source class. The class
-/// advances merged only when every member has its message and all
-/// completion times agree bit for bit — or, with per-member clocks, as soon
-/// as every member has its message. A *partial* match blocks rather than
-/// splits: an explicit-source match is fixed once sent, so waiting for the
-/// stragglers' senders is schedule-equivalent, and the transient rounds
-/// where some members' senders have not run yet must not shatter the class
-/// — genuinely asymmetric cases are group-split at quiescence
-/// (resolve_partial). All-matched with disagreeing completions splits at
-/// once, pc unmoved: more sends cannot change a fixed match.
+/// would; the store resolves the members by source class. A class with
+/// per-member clocks (any merged class under OS noise) advances as soon as
+/// every member has its message, each completing on its own clock. A class
+/// with one clock (os_noise = 0) advances merged only when every member
+/// has its message and all completion times agree bit for bit. A *partial*
+/// match blocks rather than splits: an explicit-source match is fixed once
+/// sent, so waiting for the stragglers' senders is schedule-equivalent, and
+/// the transient rounds where some members' senders have not run yet must
+/// not shatter the class — genuinely asymmetric cases are group-split at
+/// quiescence (resolve_partial). All-matched with disagreeing completions
+/// splits a class with one clock at once, pc unmoved: more sends cannot
+/// change a fixed match.
 bool RunState::rel_recv(std::uint32_t ci, const RecvOp& rcv) {
     SimClass& s = cls_[ci];
     ARMSTICE_CHECK(s.members.front() + rcv.src >= 0 && s.members.back() + rcv.src < n_,
@@ -1185,7 +1176,7 @@ bool RunState::rel_recv(std::uint32_t ci, const RecvOp& rcv) {
     }
     double done = 0;
     if (!msgs_.uniform_done(s.time, done)) {
-        probe_labels(ci, false);
+        probe_labels(ci);
         bool uniform = true;
         for (const std::uint64_t l : labels_) uniform = uniform && l == labels_[0];
         if (!uniform) {
@@ -1290,11 +1281,10 @@ void RunState::sync(SimClass& s, double completion) {
 /// rel_tiers: membership only shrinks, and uniform over a set implies
 /// uniform over every subset, so split-off classes inherit the entries.
 /// Where members disagree (node-edge members of a block placement), a class
-/// under OS noise stays merged: it takes per-member clocks if it has none
-/// yet (its first noisy compute would give it them anyway), records each
-/// member's tier in MemberClocks::tiers and gets kTierEach. At os_noise = 0
-/// the class keeps its one clock and group-splits by tier instead, groups
-/// numbered by first appearance, and this returns false.
+/// with per-member clocks (any merged class under OS noise) stays merged:
+/// it records each member's tier in MemberClocks::tiers and gets
+/// kTierEach. A class with one clock (os_noise = 0) group-splits by tier
+/// instead, groups numbered by first appearance, and this returns false.
 bool RunState::send_tier(std::uint32_t ci, int off, int& tier) {
     SimClass& s = cls_[ci];
     for (const auto& [d, t] : s.rel_tiers) {
@@ -1325,8 +1315,7 @@ bool RunState::send_tier(std::uint32_t ci, int off, int& tier) {
         tier = tier_list_[0];
         return true;
     }
-    if (os_noise_ > 0) {
-        if (s.clk < 0) diverge(s);
+    if (s.clk >= 0) {
         clocks_[static_cast<std::size_t>(s.clk)].tiers.push_back({off, tier_list_, group_});
         tier = kTierEach;
         return true;
@@ -1336,16 +1325,17 @@ bool RunState::send_tier(std::uint32_t ci, int off, int& tier) {
 }
 
 /// Per-member signatures of a probed relative receive of merged class ci,
-/// into labels_: the bit pattern of the member's completion time
-/// max(class time, arrival) — or, with `clocked`, 0 — or kNoMatch.
-void RunState::probe_labels(std::uint32_t ci, bool clocked) {
+/// into labels_: kNoMatch, or for a matched member the bit pattern of its
+/// completion time max(class time, arrival) — 0 with per-member clocks,
+/// which complete each member on its own.
+void RunState::probe_labels(std::uint32_t ci) {
     const SimClass& s = cls_[ci];
     labels_.clear();
     for (std::size_t i = 0; i < s.members.size(); ++i) {
         const std::optional<double> a = msgs_.probed_arrival(i);
         if (!a) {
             labels_.push_back(kNoMatch);
-        } else if (clocked) {
+        } else if (s.clk >= 0) {
             labels_.push_back(0);
         } else {
             labels_.push_back(std::bit_cast<std::uint64_t>(std::max(s.time, *a)));
@@ -1430,32 +1420,15 @@ void RunState::split(std::uint32_t ci, SplitWhy why, std::size_t groups) {
 
 // --- Per-member clocks (DESIGN.md §11.5) ---------------------------------------
 // The OS-noise draw is keyed on the rank, so a merged class's members drift
-// apart at its first noisy compute op. The class does not split: it keeps
-// one pc, program and block state, and its members' times (with the stats
-// and phase sums that follow from them) move into a MemberClocks slot. Each
-// member then runs exactly the FP operations its singleton would, so
+// apart at its first noisy compute op. Under noise every merged class
+// therefore holds a MemberClocks slot from the moment it forms (RunState's
+// constructor): it keeps one pc, program and block state, and its members'
+// times (with the stats and phase sums that follow from them) live in the
+// slot. Each member runs exactly the FP operations its singleton would, so
 // results stay bit-identical. At os_noise == 0 no class ever gets a slot,
 // and every op takes the scalar path: the member_* functions are out of
 // line and their branches marked unlikely, so the scalar hot paths compile
 // as they did without them.
-
-/// Give class s per-member clocks, every member starting from the shared
-/// scalar values. Only labels with time get a column: an absent column
-/// reads as 0, and adding 0 to a positive sum leaves its bits unchanged.
-void RunState::diverge(SimClass& s) {
-    const std::size_t k = s.members.size();
-    MemberClocks mc;
-    mc.time.assign(k, s.time);
-    mc.compute.assign(k, s.stats.compute);
-    mc.recv_wait.assign(k, s.stats.recv_wait);
-    mc.coll_wait.assign(k, s.stats.collective_wait);
-    mc.phase.resize(s.phase.size());
-    for (std::size_t id = 0; id < s.phase.size(); ++id) {
-        if (s.phase[id] != 0.0) mc.phase[id].assign(k, s.phase[id]);
-    }
-    s.clk = static_cast<int>(clocks_.size());
-    clocks_.push_back(std::move(mc));
-}
 
 /// Hand the members at `idx` (ascending indices into mc) to class s: a
 /// group of one goes back to the scalar fields and drops the per-member
@@ -1498,7 +1471,6 @@ void RunState::hand_members(SimClass& s, const MemberClocks& mc,
 /// singleton path evaluates, so every member's bits match.
 void RunState::member_compute(std::uint32_t ci, const ComputeOp& c) {
     SimClass& s = cls_[ci];
-    if (s.clk < 0) diverge(s);
     MemberClocks& mc = clocks_[static_cast<std::size_t>(s.clk)];
     const arch::ComputePhase& phase = s.prog->phase_of(c);
     const double dt = price_compute(c, phase, s.ctx);
@@ -1520,13 +1492,13 @@ void RunState::member_compute(std::uint32_t ci, const ComputeOp& c) {
 /// A merged relative send with per-member clocks: each member stamps its own
 /// arrival and advances its own clock. Members share `tier`'s price, or,
 /// with kTierEach, each pays its own tier's, priced once per distinct tier:
-/// tier_price is pure, so every member gets its singleton's bits.
+/// Network::tier_time is pure, so every member gets its singleton's bits.
 void RunState::member_send(std::uint32_t ci, int off, const SendOp& snd, int tier,
                            double inject) {
     MemberClocks& mc = clocks_[static_cast<std::size_t>(cls_[ci].clk)];
     double* arrival = msgs_.post_each(ci, off, snd.tag);
     if (tier != kTierEach) {
-        const double p2p = tier_price(tier, snd.bytes);
+        const double p2p = net_.tier_time(tier, snd.bytes);
         for (std::size_t i = 0; i < mc.time.size(); ++i) {
             arrival[i] = mc.time[i] + p2p;
             mc.time[i] += inject;
@@ -1536,7 +1508,7 @@ void RunState::member_send(std::uint32_t ci, int off, const SendOp& snd, int tie
     const MemberTiers* mt = mc.tiers.data();
     while (mt->off != off) ++mt;  // send_tier recorded it
     tier_prices_.clear();
-    for (const int t : mt->tiers) tier_prices_.push_back(tier_price(t, snd.bytes));
+    for (const int t : mt->tiers) tier_prices_.push_back(net_.tier_time(t, snd.bytes));
     for (std::size_t i = 0; i < mc.time.size(); ++i) {
         arrival[i] = mc.time[i] + tier_prices_[mt->which[i]];
         mc.time[i] += inject;
@@ -1604,7 +1576,7 @@ bool RunState::resolve_partial() {
             // time there); the unmatched group stays blocked. The split
             // enqueued the peeled groups — only the in-place one needs an
             // explicit wake when it matched.
-            probe_labels(ci, s.clk >= 0);
+            probe_labels(ci);
             split_by_labels(ci);
             if (labels_[0] != kNoMatch) wake(ci);
         } else {

@@ -169,12 +169,13 @@ struct RunOptions {
     /// Rank-equivalence collapse (DESIGN.md §11): ranks sharing one Program
     /// object (ProgramBundle) and one ExecContext class execute as one
     /// simulation class until an op breaks the symmetry. Absolute p2p ops
-    /// shatter the class into per-rank singletons; OS noise keeps it merged
-    /// on per-member clocks and hop tiers (§11.5); relative-addressed p2p
-    /// (§11.4 — what the simmpi halo helpers emit) stays merged while match
-    /// arrivals (and, at os_noise = 0, hop tiers) agree across members, and
-    /// group-splits into per-signature subclasses where they genuinely
-    /// differ, so a Cartesian halo interior
+    /// shatter the class into per-rank singletons. Relative-addressed p2p
+    /// (§11.4 — what the simmpi halo helpers emit) stays merged: under OS
+    /// noise every merged class runs on per-member clocks and hop tiers
+    /// from the moment it forms (§11.5) and splits only where its members'
+    /// match state differs at quiescence; at os_noise = 0 it has one clock
+    /// and group-splits into per-signature subclasses where hop tiers or
+    /// completion times genuinely differ. A Cartesian halo interior thus
     /// runs as O(surface) classes, each sending one message record per
     /// send for all its members. Results are bit-identical with the flag on
     /// or off — it is a simulation-cost knob, never a model knob. Ignored
@@ -197,11 +198,13 @@ struct RunResult {
     /// with (initial classes plus every class a split created — equal to the
     /// initial count when nothing split); `collapse_splits` counts split
     /// events, broken down by cause: `split_p2p` (absolute-addressed p2p op,
-    /// wildcard recv, or relative-recv arrival asymmetry), `split_placement`
-    /// (relative send whose hop distance differs across members — node-edge
-    /// effects of the Placement — at os_noise = 0 only). `split_noise` is
-    /// always 0: OS noise keeps a class merged on per-member clocks and hop
-    /// tiers (DESIGN.md §11.5). It stays because perfbench reads it.
+    /// wildcard recv, a relative recv matched for only some members at
+    /// quiescence, or, at os_noise = 0, a relative recv whose members'
+    /// completion times differ), `split_placement` (relative send whose hop
+    /// distance differs across members — node-edge effects of the
+    /// Placement — at os_noise = 0 only). `split_noise` is always 0: under
+    /// OS noise every merged class runs on per-member clocks and hop tiers
+    /// (DESIGN.md §11.5). It stays because perfbench reads it.
     int collapse_classes = 0;
     int collapse_splits = 0;
     int collapse_split_p2p = 0;

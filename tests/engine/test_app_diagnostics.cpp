@@ -61,7 +61,7 @@ TEST(AppDiagnostics, MinikabFourRanksTwelveThreads) {
     cfg.nodes = 1;
     cfg.ranks = 4;
     cfg.threads = 12;
-    expect_diagnostics("minikab", ap::run_minikab(a64(), cfg).run, {4, 1, 1, 0, 5});
+    expect_diagnostics("minikab", ap::run_minikab(a64(), cfg).run, {3, 0, 0, 0, 3});
 }
 
 TEST(AppDiagnostics, NekboneNodeConfig) {

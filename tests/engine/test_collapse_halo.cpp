@@ -6,10 +6,12 @@
 // correctness at torus wraps and node-edge hop-tier changes, and the hard
 // contract: bit-identical to collapse-off, RefEngine, and every perturbed
 // schedule, at any checker job count. The shape cases run twice: with
-// os_noise = 0, and at default knobs, where merged classes carry per-member
-// clocks (§11.5) and must end with no more classes than the quiet run and
-// with no placement split: a class under noise that straddles a node edge
-// keeps per-member hop tiers instead of splitting by tier.
+// os_noise = 0, and at default knobs, where every merged class carries
+// per-member clocks from the start (§11.5) and must end with no more classes
+// than the quiet run and with no split at all: a class under noise that
+// straddles a node edge keeps per-member hop tiers instead of splitting by
+// tier, and completes each member's receive on its own clock instead of
+// splitting by completion time.
 
 #include "arch/system.hpp"
 #include "sim/check.hpp"
@@ -103,9 +105,9 @@ void expect_invariant(const as::Engine& eng, const as::RunResult& collapsed,
 /// Run one halo case with os_noise = 0 and again at default knobs. Each run
 /// must be bit-identical to collapse-off, RefEngine and perturbed schedules,
 /// and must satisfy the case's own `check(engine, result, noisy)`; the noisy
-/// run must end with no more classes than the quiet one and with no
-/// placement split (per-member clocks and hop tiers never split a class on
-/// a noise draw, a completion time or a node edge).
+/// run must end with no more classes than the quiet one and with no split
+/// (per-member clocks and hop tiers never split a class on a noise draw, a
+/// completion time or a node edge, and these halos match every receive).
 template <class Check>
 void quiet_and_noisy(int ranks, int nodes, const as::ProgramBundle& bundle,
                      const char* what, Check&& check) {
@@ -124,7 +126,7 @@ void quiet_and_noisy(int ranks, int nodes, const as::ProgramBundle& bundle,
         EXPECT_BITEQ(collapsed, ref.run(bundle), what << ": vs RefEngine");
         if (noisy) {
             EXPECT_LE(collapsed.collapse_classes, quiet_classes) << what;
-            EXPECT_EQ(collapsed.collapse_split_placement, 0) << what;
+            EXPECT_EQ(collapsed.collapse_splits, 0) << what;
         } else {
             quiet_classes = collapsed.collapse_classes;
         }
